@@ -5,7 +5,8 @@
 //! survive — notably whether SFS's short-function priority and Kraken's
 //! per-function SLOs start paying off.
 
-use faasbatch_bench::{run_four, summary_table, DEFAULT_WINDOW, SEED};
+use faasbatch_bench::{reports, summary_table, DEFAULT_WINDOW, SEED};
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
 
@@ -23,7 +24,7 @@ fn main() {
             w.len(),
             w.registry().len()
         );
-        let reports = run_four(&w, "cpu-hetero", DEFAULT_WINDOW);
+        let reports = reports(&SchedulerKind::PAPER_FOUR, &w, "cpu-hetero", DEFAULT_WINDOW);
         println!("{}", summary_table(&reports));
     }
     println!("Expected: the FaaSBatch-first ordering is unchanged; with distinct");

@@ -4,8 +4,9 @@
 //! interference between the classes.
 
 use faasbatch_bench::{
-    paper_cpu_workload, paper_io_workload, run_four, summary_table, DEFAULT_WINDOW,
+    paper_cpu_workload, paper_io_workload, reports, summary_table, DEFAULT_WINDOW,
 };
+use faasbatch_core::scheduler_kind::SchedulerKind;
 
 fn main() {
     let mixed = paper_cpu_workload().merge(paper_io_workload());
@@ -13,7 +14,7 @@ fn main() {
         "Ablation — mixed workload ({} invocations: 800 cpu + 400 io)\n",
         mixed.len()
     );
-    let reports = run_four(&mixed, "mixed", DEFAULT_WINDOW);
+    let reports = reports(&SchedulerKind::PAPER_FOUR, &mixed, "mixed", DEFAULT_WINDOW);
     println!("{}", summary_table(&reports));
     let fb = &reports[3];
     let van = &reports[0];

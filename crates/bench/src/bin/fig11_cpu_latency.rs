@@ -4,8 +4,9 @@
 //! (plus Kraken's `Exec+Queue` series).
 
 use faasbatch_bench::{
-    cdf_table, export_json, paper_cpu_workload, run_four, summary_table, DEFAULT_WINDOW,
+    cdf_table, export_json, paper_cpu_workload, reports, summary_table, DEFAULT_WINDOW,
 };
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::stats::Cdf;
 
 fn main() {
@@ -14,7 +15,7 @@ fn main() {
         "Fig. 11 — latency CDFs, CPU-intensive workload ({} invocations)\n",
         w.len()
     );
-    let reports = run_four(&w, "cpu", DEFAULT_WINDOW);
+    let reports = reports(&SchedulerKind::PAPER_FOUR, &w, "cpu", DEFAULT_WINDOW);
 
     let series = |f: &dyn Fn(&faasbatch_metrics::report::RunReport) -> Cdf| -> Vec<(&str, Cdf)> {
         reports

@@ -3,8 +3,9 @@
 //! Kraken, and FaaSBatch.
 
 use faasbatch_bench::{
-    cdf_table, export_json, paper_io_workload, run_four, summary_table, DEFAULT_WINDOW,
+    cdf_table, export_json, paper_io_workload, reports, summary_table, DEFAULT_WINDOW,
 };
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::stats::Cdf;
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
         "Fig. 12 — latency CDFs, I/O workload ({} invocations)\n",
         w.len()
     );
-    let reports = run_four(&w, "io", DEFAULT_WINDOW);
+    let reports = reports(&SchedulerKind::PAPER_FOUR, &w, "io", DEFAULT_WINDOW);
 
     let series = |f: &dyn Fn(&faasbatch_metrics::report::RunReport) -> Cdf| -> Vec<(&str, Cdf)> {
         reports

@@ -5,7 +5,8 @@
 //! Vanilla and SFS have no dispatch interval (they dispatch per arrival);
 //! their series are flat, as in the paper's plots.
 
-use faasbatch_bench::{export_json, paper_cpu_workload, run_four, DISPATCH_INTERVALS_MS};
+use faasbatch_bench::{export_json, paper_cpu_workload, reports, DISPATCH_INTERVALS_MS};
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::report::{text_table, RunReport};
 use faasbatch_simcore::time::SimDuration;
 
@@ -21,7 +22,7 @@ fn main() {
     let mut cpu_rows = Vec::new();
     for &ms in &DISPATCH_INTERVALS_MS {
         let window = SimDuration::from_millis(ms);
-        let reports = run_four(&w, "cpu", window);
+        let reports = reports(&SchedulerKind::PAPER_FOUR, &w, "cpu", window);
         let interval = format!("{:.2}s", ms as f64 / 1e3);
         mem_rows.push(
             std::iter::once(interval.clone())

@@ -2,7 +2,8 @@
 //! (a) total memory, (b) provisioned containers, (c) CPU utilization, and
 //! (d) memory footprint per client-creation request.
 
-use faasbatch_bench::{export_json, paper_io_workload, run_four, DISPATCH_INTERVALS_MS};
+use faasbatch_bench::{export_json, paper_io_workload, reports, DISPATCH_INTERVALS_MS};
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::report::{text_table, RunReport};
 use faasbatch_simcore::time::SimDuration;
 
@@ -19,7 +20,7 @@ fn main() {
     let mut client_rows = Vec::new();
     for &ms in &DISPATCH_INTERVALS_MS {
         let window = SimDuration::from_millis(ms);
-        let reports = run_four(&w, "io", window);
+        let reports = reports(&SchedulerKind::PAPER_FOUR, &w, "io", window);
         let interval = format!("{:.2}s", ms as f64 / 1e3);
         mem_rows.push(
             std::iter::once(interval.clone())

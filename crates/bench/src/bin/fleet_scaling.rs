@@ -7,8 +7,8 @@
 //! summary rows to `results/fleet_scaling.json`.
 
 use faasbatch_bench::SEED;
-use faasbatch_core::policy::FaasBatchConfig;
-use faasbatch_fleet::config::{FleetConfig, WorkerScheduler};
+use faasbatch_core::scheduler_kind::SchedulerKind;
+use faasbatch_fleet::config::FleetConfig;
 use faasbatch_fleet::routing::RoutingKind;
 use faasbatch_fleet::sim::run_fleet;
 use faasbatch_metrics::report::text_table;
@@ -52,17 +52,13 @@ fn main() {
         w.len()
     );
 
-    let schedulers = [
-        WorkerScheduler::FaasBatch(FaasBatchConfig::default()),
-        WorkerScheduler::Vanilla,
-    ];
     let mut rows: Vec<Row> = Vec::new();
-    for scheduler in &schedulers {
+    for scheduler in [SchedulerKind::FaasBatch, SchedulerKind::Vanilla] {
         for kind in RoutingKind::ALL {
             for workers in WORKER_COUNTS {
                 let cfg = FleetConfig {
                     workers,
-                    scheduler: scheduler.clone(),
+                    scheduler,
                     ..FleetConfig::default()
                 };
                 let report = run_fleet(&w, &cfg, kind.build(), "cpu")

@@ -15,10 +15,10 @@
 //! headline claim of the snapshot tier.
 
 use faasbatch_bench::{
-    paper_cpu_workload, paper_io_workload, run_six_traced, run_six_traced_cfg,
-    snapshot_ablation_setup, DEFAULT_WINDOW,
+    paper_cpu_workload, paper_io_workload, snapshot_ablation_setup, traced, DEFAULT_WINDOW,
 };
 use faasbatch_container::snapshot::SnapshotConfig;
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::analysis::{diff_reports, AttributionEngine, AttributionReport, Phase};
 use faasbatch_metrics::events::SimEvent;
 use faasbatch_schedulers::config::SimConfig;
@@ -52,7 +52,13 @@ fn main() {
     let mut json: Vec<(String, Value)> = Vec::new();
 
     for (label, workload) in [("cpu", paper_cpu_workload()), ("io", paper_io_workload())] {
-        let (reports, streams) = run_six_traced(&workload, label, DEFAULT_WINDOW);
+        let (reports, streams) = traced(
+            &SchedulerKind::ALL,
+            &workload,
+            label,
+            DEFAULT_WINDOW,
+            &SimConfig::default(),
+        );
         let attributed: Vec<AttributionReport> = streams.iter().map(|s| attribute(s)).collect();
 
         let _ = writeln!(
@@ -114,8 +120,9 @@ fn main() {
         ..base.clone()
     };
     let cpu = paper_cpu_workload();
-    let (off_reports, off_streams) = run_six_traced_cfg(&cpu, "cpu-churn", DEFAULT_WINDOW, &base);
-    let (on_reports, on_streams) = run_six_traced_cfg(&cpu, "cpu-snap", DEFAULT_WINDOW, &snap);
+    let all = &SchedulerKind::ALL;
+    let (off_reports, off_streams) = traced(all, &cpu, "cpu-churn", DEFAULT_WINDOW, &base);
+    let (on_reports, on_streams) = traced(all, &cpu, "cpu-snap", DEFAULT_WINDOW, &snap);
     let _ = writeln!(
         text,
         "=== snapshot tier (cpu workload, 2s keep-alive, cache off vs capacity 8) ===\n"

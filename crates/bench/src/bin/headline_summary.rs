@@ -3,8 +3,9 @@
 //! CPU-intensive and I/O workloads.
 
 use faasbatch_bench::{
-    export_json, paper_cpu_workload, paper_io_workload, run_four, summary_table, DEFAULT_WINDOW,
+    export_json, paper_cpu_workload, paper_io_workload, reports, summary_table, DEFAULT_WINDOW,
 };
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::report::{percent_reduction, text_table, RunReport};
 
 fn reductions(reports: &[RunReport]) -> String {
@@ -53,7 +54,7 @@ fn reductions(reports: &[RunReport]) -> String {
 
 fn main() {
     for (label, workload) in [("cpu", paper_cpu_workload()), ("io", paper_io_workload())] {
-        let reports = run_four(&workload, label, DEFAULT_WINDOW);
+        let reports = reports(&SchedulerKind::PAPER_FOUR, &workload, label, DEFAULT_WINDOW);
         println!("=== {label} workload ({} invocations) ===", workload.len());
         println!("{}", summary_table(&reports));
         println!("FaaSBatch reductions vs baselines:");

@@ -11,11 +11,13 @@
 //! per-scheduler summary `results/six_schedulers_{cpu,io}.json`.
 
 use faasbatch_bench::{
-    paper_cpu_workload, paper_io_workload, run_six_traced, summary_table, DEFAULT_WINDOW,
+    paper_cpu_workload, paper_io_workload, summary_table, traced, DEFAULT_WINDOW,
 };
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::analysis::AttributionEngine;
 use faasbatch_metrics::events::{AuditorSink, SimEvent, TraceSink};
 use faasbatch_metrics::report::RunReport;
+use faasbatch_schedulers::config::SimConfig;
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::{cpu_workload, Workload, WorkloadConfig};
@@ -116,7 +118,13 @@ fn main() {
     };
 
     for (label, workload) in &workloads {
-        let (reports, streams) = run_six_traced(workload, label, DEFAULT_WINDOW);
+        let (reports, streams) = traced(
+            &SchedulerKind::ALL,
+            workload,
+            label,
+            DEFAULT_WINDOW,
+            &SimConfig::default(),
+        );
         for (report, events) in reports.iter().zip(&streams) {
             assert_eq!(
                 report.records.len(),

@@ -4,7 +4,8 @@
 //! Fig. 13/14 aggregate over the run; this shows the trajectories those
 //! aggregates summarise.)
 
-use faasbatch_bench::{paper_io_workload, run_four, DEFAULT_WINDOW};
+use faasbatch_bench::{paper_io_workload, reports, DEFAULT_WINDOW};
+use faasbatch_core::scheduler_kind::SchedulerKind;
 use faasbatch_metrics::timeline::{to_csv, Series, Timeline};
 
 fn main() {
@@ -13,7 +14,7 @@ fn main() {
         "Timelines — I/O workload ({} invocations), one char per second\n",
         w.len()
     );
-    let reports = run_four(&w, "io", DEFAULT_WINDOW);
+    let reports = reports(&SchedulerKind::PAPER_FOUR, &w, "io", DEFAULT_WINDOW);
     for series in [
         Series::MemoryBytes,
         Series::LiveContainers,

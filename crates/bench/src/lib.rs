@@ -5,23 +5,19 @@
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that rebuilds its workload, runs the relevant schedulers, and
 //! prints the same rows/series the paper plots (see `DESIGN.md` §5 for the
-//! index). This library holds the shared plumbing: canonical workloads, the
-//! four- and six-scheduler runners, CDF/table rendering, and JSON export.
+//! index). This library holds the shared plumbing: canonical workloads,
+//! report and sink helpers over the shared [`run_kinds`] runner, CDF/table
+//! rendering, and JSON export.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use faasbatch_core::policy::{run_faasbatch, run_faasbatch_traced, FaasBatchConfig};
-use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
+use faasbatch_core::scheduler_kind::{run_kinds, SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, AutoscalerStats};
-use faasbatch_metrics::events::{TraceSink, VecSink};
+use faasbatch_metrics::events::{SimEvent, VecSink};
 use faasbatch_metrics::report::{text_table, RunReport};
 use faasbatch_metrics::stats::Cdf;
 use faasbatch_schedulers::config::SimConfig;
-use faasbatch_schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch_schedulers::kraken::{Kraken, KrakenCalibration};
-use faasbatch_schedulers::sfs::Sfs;
-use faasbatch_schedulers::vanilla::Vanilla;
 use faasbatch_simcore::rng::DetRng;
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
@@ -56,301 +52,47 @@ pub fn paper_io_workload() -> Workload {
     )
 }
 
-/// Runs all four schedulers on `workload` with the given dispatch window and
-/// returns reports in `[vanilla, sfs, kraken, faasbatch]` order.
-pub fn run_four(workload: &Workload, label: &str, window: SimDuration) -> [RunReport; 4] {
-    run_four_cfg(workload, label, window, &SimConfig::default())
+/// Replays `workload` under each of `kinds` with the default simulation
+/// config and the given dispatch window, untraced, and returns the reports
+/// in `kinds` order (see [`run_kinds`] for the Kraken calibration rule).
+pub fn reports(
+    kinds: &[SchedulerKind],
+    workload: &Workload,
+    label: &str,
+    window: SimDuration,
+) -> Vec<RunReport> {
+    let (cfg, setup) = (SimConfig::default(), SchedulerSetup::new(window));
+    run_kinds(kinds, workload, &cfg, label, &setup, |_| None)
+        .into_iter()
+        .map(|(report, _)| report)
+        .collect()
 }
 
-/// [`run_four`] with an explicit simulation config (the ablation harnesses
-/// vary keep-alive, so they cannot use the default).
-pub fn run_four_cfg(
+/// [`reports`] under `cfg` with a [`VecSink`] on every run: the reports
+/// plus each run's full event stream, in `kinds` order — the input to the
+/// auditor and the attribution engine.
+pub fn traced(
+    kinds: &[SchedulerKind],
     workload: &Workload,
     label: &str,
     window: SimDuration,
     cfg: &SimConfig,
-) -> [RunReport; 4] {
-    let vanilla = run_simulation(Box::new(Vanilla::new()), workload, cfg.clone(), label, None);
-    let sfs = run_simulation(Box::new(Sfs::new()), workload, cfg.clone(), label, None);
-    let calibration = KrakenCalibration::from_vanilla(&vanilla);
-    let kraken = run_simulation(
-        Box::new(Kraken::new(calibration, window)),
-        workload,
-        cfg.clone(),
-        label,
-        Some(window),
-    );
-    let faasbatch = run_faasbatch(
-        workload,
-        cfg.clone(),
-        FaasBatchConfig::with_window(window),
-        label,
-    );
-    [vanilla, sfs, kraken, faasbatch]
-}
-
-/// Builds the six-scheduler [`SchedulerSetup`]: runs Vanilla once on
-/// `workload` (its report doubles as the first comparison entry) and
-/// calibrates Kraken from it, exactly as `run_four*` does.
-fn six_setup(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-) -> (RunReport, SchedulerSetup) {
-    let vanilla = run_simulation(Box::new(Vanilla::new()), workload, cfg.clone(), label, None);
-    let setup = SchedulerSetup::new(window)
-        .with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
-    (vanilla, setup)
-}
-
-/// Runs all six schedulers on `workload` with the given dispatch window and
-/// returns reports in [`SchedulerKind::ALL`] order: `[vanilla, sfs, kraken,
-/// hiku, core-late-bind, faasbatch]`.
-pub fn run_six(workload: &Workload, label: &str, window: SimDuration) -> [RunReport; 6] {
-    run_six_cfg(workload, label, window, &SimConfig::default())
-}
-
-/// [`run_six`] with an explicit simulation config.
-pub fn run_six_cfg(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-) -> [RunReport; 6] {
-    let (vanilla, setup) = six_setup(workload, label, window, cfg);
-    let mut reports = vec![vanilla];
-    for kind in &SchedulerKind::ALL[1..] {
-        let (policy, interval) = kind.build(&setup);
-        reports.push(run_simulation(
-            policy,
-            workload,
-            cfg.clone(),
-            label,
-            interval,
-        ));
-    }
-    reports.try_into().expect("one report per scheduler")
-}
-
-/// Runs all six schedulers with a [`VecSink`] attached and returns each
-/// run's report plus its full event stream, in [`SchedulerKind::ALL`]
-/// order — the input to the attribution engine.
-pub fn run_six_traced(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-) -> (
-    [RunReport; 6],
-    [Vec<faasbatch_metrics::events::SimEvent>; 6],
-) {
-    run_six_traced_cfg(workload, label, window, &SimConfig::default())
-}
-
-/// [`run_six_traced`] with an explicit simulation config (the snapshot
-/// harnesses enable the restore tier, so they cannot use the default).
-pub fn run_six_traced_cfg(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-) -> (
-    [RunReport; 6],
-    [Vec<faasbatch_metrics::events::SimEvent>; 6],
-) {
-    let (vanilla, s0) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        Box::new(VecSink::new()),
-    );
-    let setup = SchedulerSetup::new(window)
-        .with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
-    let mut reports = vec![vanilla];
-    let mut streams = vec![collected_events(s0)];
-    for kind in &SchedulerKind::ALL[1..] {
-        let (policy, interval) = kind.build(&setup);
-        let (report, sink) = run_simulation_traced(
-            policy,
-            workload,
-            cfg.clone(),
-            label,
-            interval,
-            Box::new(VecSink::new()),
-        );
-        reports.push(report);
-        streams.push(collected_events(sink));
-    }
-    (
-        reports.try_into().expect("one report per scheduler"),
-        streams.try_into().expect("one stream per scheduler"),
-    )
-}
-
-/// Runs all six schedulers with a trace-driven autoscaling controller
-/// attached (one fresh [`AutoscalerSink`] per run) and returns the reports
-/// plus each controller's action counters, in [`SchedulerKind::ALL`] order.
-pub fn run_six_autoscaled(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-    ac: &AutoscalerConfig,
-) -> ([RunReport; 6], [AutoscalerStats; 6]) {
-    let sink = || -> Box<dyn TraceSink> { Box::new(AutoscalerSink::new(ac.clone())) };
-    let (vanilla, s0) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let setup = SchedulerSetup::new(window)
-        .with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
-    let mut reports = vec![vanilla];
-    let mut stats = vec![autoscaler_stats(s0)];
-    for kind in &SchedulerKind::ALL[1..] {
-        let (policy, interval) = kind.build(&setup);
-        let (report, s) =
-            run_simulation_traced(policy, workload, cfg.clone(), label, interval, sink());
-        reports.push(report);
-        stats.push(autoscaler_stats(s));
-    }
-    (
-        reports.try_into().expect("one report per scheduler"),
-        stats.try_into().expect("one stat set per scheduler"),
-    )
-}
-
-/// Recovers a [`VecSink`]'s collected events from a returned boxed sink.
-fn collected_events(sink: Box<dyn TraceSink>) -> Vec<faasbatch_metrics::events::SimEvent> {
-    sink.as_any()
-        .downcast_ref::<VecSink>()
-        .expect("traced run returns its vec sink")
-        .events()
-        .to_vec()
-}
-
-/// Runs all four schedulers with a [`VecSink`] attached and returns each
-/// run's report plus its full event stream, in `[vanilla, sfs, kraken,
-/// faasbatch]` order — the input to the attribution engine.
-pub fn run_four_traced(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-) -> (
-    [RunReport; 4],
-    [Vec<faasbatch_metrics::events::SimEvent>; 4],
-) {
-    let cfg = SimConfig::default();
-    let sink = || -> Box<dyn TraceSink> { Box::new(VecSink::new()) };
-    let (vanilla, s0) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let (sfs, s1) = run_simulation_traced(
-        Box::new(Sfs::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let calibration = KrakenCalibration::from_vanilla(&vanilla);
-    let (kraken, s2) = run_simulation_traced(
-        Box::new(Kraken::new(calibration, window)),
-        workload,
-        cfg.clone(),
-        label,
-        Some(window),
-        sink(),
-    );
-    let (faasbatch, s3) = run_faasbatch_traced(
-        workload,
-        cfg,
-        FaasBatchConfig::with_window(window),
-        label,
-        sink(),
-    );
-    (
-        [vanilla, sfs, kraken, faasbatch],
-        [
-            collected_events(s0),
-            collected_events(s1),
-            collected_events(s2),
-            collected_events(s3),
-        ],
-    )
-}
-
-/// Recovers an [`AutoscalerSink`]'s counters from a returned boxed sink.
-fn autoscaler_stats(sink: Box<dyn TraceSink>) -> AutoscalerStats {
-    sink.as_any()
-        .downcast_ref::<AutoscalerSink>()
-        .expect("autoscaled run returns its controller sink")
-        .stats()
-}
-
-/// Runs all four schedulers with a trace-driven autoscaling controller
-/// attached (one fresh [`AutoscalerSink`] per run) and returns the reports
-/// plus each controller's action counters, in `[vanilla, sfs, kraken,
-/// faasbatch]` order.
-pub fn run_four_autoscaled(
-    workload: &Workload,
-    label: &str,
-    window: SimDuration,
-    cfg: &SimConfig,
-    ac: &AutoscalerConfig,
-) -> ([RunReport; 4], [AutoscalerStats; 4]) {
-    let sink = || -> Box<dyn TraceSink> { Box::new(AutoscalerSink::new(ac.clone())) };
-    let (vanilla, s0) = run_simulation_traced(
-        Box::new(Vanilla::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let (sfs, s1) = run_simulation_traced(
-        Box::new(Sfs::new()),
-        workload,
-        cfg.clone(),
-        label,
-        None,
-        sink(),
-    );
-    let calibration = KrakenCalibration::from_vanilla(&vanilla);
-    let (kraken, s2) = run_simulation_traced(
-        Box::new(Kraken::new(calibration, window)),
-        workload,
-        cfg.clone(),
-        label,
-        Some(window),
-        sink(),
-    );
-    let (faasbatch, s3) = run_faasbatch_traced(
-        workload,
-        cfg.clone(),
-        FaasBatchConfig::with_window(window),
-        label,
-        sink(),
-    );
-    (
-        [vanilla, sfs, kraken, faasbatch],
-        [
-            autoscaler_stats(s0),
-            autoscaler_stats(s1),
-            autoscaler_stats(s2),
-            autoscaler_stats(s3),
-        ],
-    )
+) -> (Vec<RunReport>, Vec<Vec<SimEvent>>) {
+    let setup = SchedulerSetup::new(window);
+    run_kinds(kinds, workload, cfg, label, &setup, |_| {
+        Some(Box::new(VecSink::new()))
+    })
+    .into_iter()
+    .map(|(report, sink)| {
+        let events = sink
+            .as_ref()
+            .and_then(|s| s.as_any().downcast_ref::<VecSink>())
+            .expect("traced run returns its vec sink")
+            .events()
+            .to_vec();
+        (report, events)
+    })
+    .unzip()
 }
 
 /// The static simulation config and controller used by the
@@ -440,15 +182,21 @@ pub fn autoscaler_ablation(
     cfg: &SimConfig,
     ac: &AutoscalerConfig,
 ) -> Value {
-    let static_runs = run_six_cfg(workload, label, window, cfg);
-    let (auto_runs, stats) = run_six_autoscaled(workload, label, window, cfg, ac);
+    let setup = SchedulerSetup::new(window);
+    let all = &SchedulerKind::ALL;
+    let static_runs = run_kinds(all, workload, cfg, label, &setup, |_| None);
+    let auto_runs = run_kinds(all, workload, cfg, label, &setup, |_| {
+        Some(Box::new(AutoscalerSink::new(ac.clone())))
+    });
     let schedulers = Value::Map(
-        (0..6)
-            .map(|i| {
-                (
-                    static_runs[i].scheduler.clone(),
-                    ablation_row(&static_runs[i], &auto_runs[i], &stats[i]),
-                )
+        static_runs
+            .into_iter()
+            .zip(auto_runs)
+            .map(|((static_run, _), (auto_run, sink))| {
+                let controller = sink.as_ref().and_then(|s| s.as_any().downcast_ref());
+                let stats = AutoscalerSink::stats(controller.expect("controller sink comes back"));
+                let row = ablation_row(&static_run, &auto_run, &stats);
+                (static_run.scheduler, row)
             })
             .collect(),
     );
@@ -470,7 +218,7 @@ pub fn autoscaler_ablation(
 /// ablation's short 2 s keep-alive, so warm containers churn out of the pool
 /// between bursts and the restore tier has cold starts to absorb. The
 /// snapshot cache itself is left disabled — each sweep point installs its
-/// own [`SnapshotConfig`].
+/// own [`SnapshotConfig`](faasbatch_container::snapshot::SnapshotConfig).
 pub fn snapshot_ablation_setup() -> SimConfig {
     SimConfig {
         keep_alive: SimDuration::from_secs(2),
@@ -527,11 +275,11 @@ pub fn snapshot_ablation(
         snapshot: snapshot.clone(),
         ..base.clone()
     };
-    let reports = run_six_cfg(workload, label, window, &cfg);
+    let setup = SchedulerSetup::new(window);
+    let runs = run_kinds(&SchedulerKind::ALL, workload, &cfg, label, &setup, |_| None);
     let schedulers = Value::Map(
-        reports
-            .iter()
-            .map(|r| (r.scheduler.clone(), snapshot_row(r)))
+        runs.iter()
+            .map(|(r, _)| (r.scheduler.clone(), snapshot_row(r)))
             .collect(),
     );
     obj(vec![
@@ -647,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn run_four_produces_four_named_reports() {
+    fn paper_four_reports_equal_their_entries_in_all() {
         let w = cpu_workload(
             &DetRng::new(1),
             &WorkloadConfig {
@@ -658,35 +406,16 @@ mod tests {
                 ..WorkloadConfig::default()
             },
         );
-        let reports = run_four(&w, "cpu", DEFAULT_WINDOW);
-        let names: Vec<&str> = reports.iter().map(|r| r.scheduler.as_str()).collect();
-        assert_eq!(names, vec!["vanilla", "sfs", "kraken", "faasbatch"]);
-        assert!(reports.iter().all(|r| r.records.len() == 30));
-    }
-
-    #[test]
-    fn run_six_produces_six_named_reports() {
-        let w = cpu_workload(
-            &DetRng::new(1),
-            &WorkloadConfig {
-                total: 30,
-                span: SimDuration::from_secs(5),
-                functions: 2,
-                bursts: 2,
-                ..WorkloadConfig::default()
-            },
-        );
-        let reports = run_six(&w, "cpu", DEFAULT_WINDOW);
-        let names: Vec<&str> = reports.iter().map(|r| r.scheduler.as_str()).collect();
+        let all = reports(&SchedulerKind::ALL, &w, "cpu", DEFAULT_WINDOW);
+        let names: Vec<&str> = all.iter().map(|r| r.scheduler.as_str()).collect();
         let expected: Vec<&str> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names, expected);
-        assert!(reports.iter().all(|r| r.records.len() == 30));
-        // The shared runs agree with the four-scheduler family exactly.
-        let four = run_four(&w, "cpu", DEFAULT_WINDOW);
-        assert_eq!(four[0], reports[0]);
-        assert_eq!(four[1], reports[1]);
-        assert_eq!(four[2], reports[2]);
-        assert_eq!(four[3], reports[5]);
+        assert!(all.iter().all(|r| r.records.len() == 30));
+        let four = reports(&SchedulerKind::PAPER_FOUR, &w, "cpu", DEFAULT_WINDOW);
+        for (kind, report) in SchedulerKind::PAPER_FOUR.iter().zip(&four) {
+            let i = SchedulerKind::ALL.iter().position(|k| k == kind).unwrap();
+            assert_eq!(report, &all[i], "{}", kind.name());
+        }
     }
 
     #[test]
@@ -736,7 +465,7 @@ mod tests {
                 ..WorkloadConfig::default()
             },
         );
-        let reports = run_four(&w, "cpu", DEFAULT_WINDOW);
+        let reports = reports(&SchedulerKind::PAPER_FOUR, &w, "cpu", DEFAULT_WINDOW);
         let summary = summary_table(&reports);
         assert!(summary.contains("faasbatch"));
         let cdfs: Vec<(&str, Cdf)> = reports

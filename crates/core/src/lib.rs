@@ -59,9 +59,9 @@ pub use mapper::{FunctionGroup, InvokeMapper};
 pub use multiplexer::{mux_trace_events, MultiplexerStats, MuxEvent, ResourceMultiplexer};
 pub use platform::{FaasBatchPlatform, InvokeOutcome, OutcomeSummary, PlatformBuilder};
 pub use policy::{
-    run_faasbatch, run_faasbatch_source, run_faasbatch_source_traced, run_faasbatch_traced,
-    FaasBatchConfig, FaasBatchPolicy,
+    run_faasbatch, run_faasbatch_source_traced, run_faasbatch_traced, FaasBatchConfig,
+    FaasBatchPolicy,
 };
 pub use routing::{RoutingKind, RoutingPolicy, UnknownRoutingPolicy};
-pub use scheduler_kind::{SchedulerKind, SchedulerSetup, UnknownScheduler};
+pub use scheduler_kind::{run_kinds, KindRun, SchedulerKind, SchedulerSetup, UnknownScheduler};
 pub use telemetry::{register_executor, PlatformTelemetry};

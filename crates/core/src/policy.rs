@@ -14,9 +14,7 @@ use crate::mapper::InvokeMapper;
 use faasbatch_metrics::events::TraceSink;
 use faasbatch_metrics::report::RunReport;
 use faasbatch_schedulers::config::SimConfig;
-use faasbatch_schedulers::harness::{
-    run_simulation, run_simulation_traced, run_source, run_source_traced,
-};
+use faasbatch_schedulers::harness::{run_simulation, run_simulation_traced, run_source_traced};
 use faasbatch_schedulers::policy::{Completion, Ctx, DispatchRequest, ExecMode, Policy};
 use faasbatch_simcore::time::SimDuration;
 use faasbatch_trace::stream::InvocationSource;
@@ -171,24 +169,7 @@ pub fn run_faasbatch(
 /// [`run_faasbatch`] over any [`InvocationSource`] — e.g. a
 /// [`WorkloadStream`](faasbatch_trace::stream::WorkloadStream) sampling
 /// invocations on demand, so day-scale replays never materialise the full
-/// trace.
-pub fn run_faasbatch_source(
-    source: impl InvocationSource,
-    sim: SimConfig,
-    cfg: FaasBatchConfig,
-    label: &str,
-) -> RunReport {
-    let window = cfg.window;
-    run_source(
-        Box::new(FaasBatchPolicy::new(cfg)),
-        source,
-        sim,
-        label,
-        Some(window),
-    )
-}
-
-/// [`run_faasbatch_source`] with an observable event stream.
+/// trace — with an observable event stream.
 pub fn run_faasbatch_source_traced(
     source: impl InvocationSource,
     sim: SimConfig,

@@ -6,10 +6,15 @@
 //! bench name into a typed value with an error that lists every valid
 //! name (mirroring [`crate::routing::RoutingKind::parse`]). A parsed
 //! kind builds a ready-to-run [`Policy`] plus the dispatch interval its
-//! harness run needs, so the CLI, bench bins, and test matrices all
-//! share one spelling of each name and one construction path.
+//! harness run needs, and [`run_kinds`] replays a workload under any set
+//! of kinds, so the CLI, bench bins, fleet workers, and test matrices all
+//! share one spelling of each name, one construction path, and one runner.
 
 use crate::policy::{FaasBatchConfig, FaasBatchPolicy};
+use faasbatch_metrics::events::{NoopSink, TraceSink};
+use faasbatch_metrics::report::RunReport;
+use faasbatch_schedulers::config::SimConfig;
+use faasbatch_schedulers::harness::run_simulation_traced;
 use faasbatch_schedulers::hiku::Hiku;
 use faasbatch_schedulers::kraken::{Kraken, KrakenCalibration};
 use faasbatch_schedulers::late_bind::CoreLateBind;
@@ -17,6 +22,8 @@ use faasbatch_schedulers::policy::Policy;
 use faasbatch_schedulers::sfs::Sfs;
 use faasbatch_schedulers::vanilla::Vanilla;
 use faasbatch_simcore::time::SimDuration;
+use faasbatch_trace::workload::Workload;
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned by [`SchedulerKind::parse`] for an unrecognised
@@ -46,7 +53,7 @@ impl fmt::Display for UnknownScheduler {
 impl std::error::Error for UnknownScheduler {}
 
 /// Enumerates the comparison schedulers, for CLI / bench sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulerKind {
     /// One container per invocation (`faasbatch_schedulers::vanilla`).
     Vanilla,
@@ -74,7 +81,8 @@ pub enum SchedulerKind {
 pub struct SchedulerSetup {
     /// Dispatch window for the windowed schedulers (Kraken, FaaSBatch).
     pub window: SimDuration,
-    /// Kraken's execution-time calibration.
+    /// Kraken's execution-time calibration ([`run_kinds`] replaces it with
+    /// one derived from a Vanilla run of the replayed workload).
     pub kraken: KrakenCalibration,
     /// FaaSBatch's full configuration (its `window` field should agree
     /// with `window`; [`SchedulerSetup::new`] keeps them in sync).
@@ -98,12 +106,6 @@ impl SchedulerSetup {
         self.kraken = calibration;
         self
     }
-
-    /// Replaces the FaaSBatch configuration wholesale.
-    pub fn with_faasbatch_config(mut self, cfg: FaasBatchConfig) -> Self {
-        self.faasbatch = cfg;
-        self
-    }
 }
 
 impl SchedulerKind {
@@ -114,6 +116,15 @@ impl SchedulerKind {
         SchedulerKind::Kraken,
         SchedulerKind::Hiku,
         SchedulerKind::CoreLateBind,
+        SchedulerKind::FaasBatch,
+    ];
+
+    /// The paper's own comparison (Vanilla, SFS, Kraken, FaaSBatch), in the
+    /// report order of its figures.
+    pub const PAPER_FOUR: [SchedulerKind; 4] = [
+        SchedulerKind::Vanilla,
+        SchedulerKind::Sfs,
+        SchedulerKind::Kraken,
         SchedulerKind::FaasBatch,
     ];
 
@@ -160,9 +171,127 @@ impl SchedulerKind {
     }
 }
 
+/// One replay of [`run_kinds`]: the report plus the sink the run was
+/// traced through, returned for downcasting.
+pub type KindRun = (RunReport, Option<Box<dyn TraceSink>>);
+
+/// Replays `workload` under each of `kinds` with `cfg` and returns one run
+/// per kind, in `kinds` order.
+///
+/// `sink(kind)` is asked once per run for the sink to trace it through
+/// (`None` runs untraced). Kraken calibrates its SLOs from a Vanilla run of
+/// the same workload: from the Vanilla run in `kinds` when there is one
+/// (sink attached, so a controller sink shapes both), otherwise from an
+/// extra untraced Vanilla replay under the same `cfg`. Every other
+/// scheduler is built from `setup` as given.
+///
+/// # Examples
+///
+/// ```
+/// use faasbatch_core::scheduler_kind::{run_kinds, SchedulerKind, SchedulerSetup};
+/// use faasbatch_schedulers::config::SimConfig;
+/// use faasbatch_simcore::rng::DetRng;
+/// use faasbatch_simcore::time::SimDuration;
+/// use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
+///
+/// let small = WorkloadConfig { total: 20, functions: 2, ..WorkloadConfig::default() };
+/// let w = cpu_workload(&DetRng::new(42), &small);
+/// let setup = SchedulerSetup::new(SimDuration::from_millis(200));
+/// let cfg = SimConfig::default();
+/// let runs = run_kinds(&SchedulerKind::PAPER_FOUR, &w, &cfg, "cpu", &setup, |_| None);
+/// assert_eq!(runs[3].0.scheduler, "faasbatch");
+/// ```
+pub fn run_kinds(
+    kinds: &[SchedulerKind],
+    workload: &Workload,
+    cfg: &SimConfig,
+    label: &str,
+    setup: &SchedulerSetup,
+    mut sink: impl FnMut(SchedulerKind) -> Option<Box<dyn TraceSink>>,
+) -> Vec<KindRun> {
+    let run = |kind: SchedulerKind, setup: &SchedulerSetup, sink: Option<Box<dyn TraceSink>>| {
+        let (policy, interval) = kind.build(setup);
+        let traced = sink.is_some();
+        let sink = sink.unwrap_or_else(|| Box::new(NoopSink));
+        let (report, sink) =
+            run_simulation_traced(policy, workload, cfg.clone(), label, interval, sink);
+        (report, traced.then_some(sink))
+    };
+    let mut setup = setup.clone();
+    let mut runs: Vec<Option<KindRun>> = kinds.iter().map(|_| None).collect();
+    if kinds.contains(&SchedulerKind::Kraken) {
+        let vanilla = SchedulerKind::Vanilla;
+        let listed = kinds.iter().position(|&k| k == vanilla);
+        let vanilla_run = run(vanilla, &setup, listed.and_then(|_| sink(vanilla)));
+        setup.kraken = KrakenCalibration::from_vanilla(&vanilla_run.0);
+        if let Some(i) = listed {
+            runs[i] = Some(vanilla_run);
+        }
+    }
+    kinds
+        .iter()
+        .zip(runs)
+        .map(|(&kind, done)| done.unwrap_or_else(|| run(kind, &setup, sink(kind))))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasbatch_simcore::rng::DetRng;
+    use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
+
+    fn small_workload() -> Workload {
+        cpu_workload(
+            &DetRng::new(1),
+            &WorkloadConfig {
+                total: 30,
+                span: SimDuration::from_secs(5),
+                functions: 2,
+                bursts: 2,
+                ..WorkloadConfig::default()
+            },
+        )
+    }
+
+    fn reports(kinds: &[SchedulerKind], w: &Workload) -> Vec<RunReport> {
+        let setup = SchedulerSetup::new(SimDuration::from_millis(200));
+        run_kinds(kinds, w, &SimConfig::default(), "cpu", &setup, |_| None)
+            .into_iter()
+            .map(|(report, _)| report)
+            .collect()
+    }
+
+    #[test]
+    fn kraken_alone_calibrates_like_kraken_inside_all() {
+        let w = small_workload();
+        let all = reports(&SchedulerKind::ALL, &w);
+        let alone = reports(&[SchedulerKind::Kraken], &w);
+        assert_eq!(alone[0], all[2]);
+        // Vanilla after Kraken in the slice still calibrates it.
+        let reversed = reports(&[SchedulerKind::Kraken, SchedulerKind::Vanilla], &w);
+        assert_eq!(reversed[0], all[2]);
+        assert_eq!(reversed[1], all[0]);
+    }
+
+    #[test]
+    fn sinks_are_requested_once_per_run_and_returned() {
+        use faasbatch_metrics::events::VecSink;
+        let w = small_workload();
+        let mut asked = Vec::new();
+        let setup = SchedulerSetup::new(SimDuration::from_millis(200));
+        let cfg = SimConfig::default();
+        let runs = run_kinds(&SchedulerKind::ALL, &w, &cfg, "cpu", &setup, |kind| {
+            asked.push(kind);
+            Some(Box::new(VecSink::new()))
+        });
+        assert_eq!(asked, SchedulerKind::ALL);
+        for (report, sink) in &runs {
+            let sink = sink.as_ref().expect("traced run returns its sink");
+            let events = sink.as_any().downcast_ref::<VecSink>().unwrap().events();
+            assert!(!events.is_empty(), "{}", report.scheduler);
+        }
+    }
 
     #[test]
     fn kind_round_trips_names() {

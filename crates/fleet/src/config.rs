@@ -2,37 +2,11 @@
 //! router's dispatch window, and the fault schedule.
 
 use faasbatch_core::policy::FaasBatchConfig;
+use faasbatch_core::scheduler_kind::{SchedulerKind, SchedulerSetup};
 use faasbatch_metrics::autoscaler::AutoscalerConfig;
 use faasbatch_schedulers::config::SimConfig;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// The scheduler every worker in the fleet runs. The fleet is homogeneous —
-/// the paper's single-worker comparison is reproduced per worker, and the
-/// fleet layer isolates *routing* policy on top of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WorkerScheduler {
-    /// One container per invocation (the Vanilla baseline).
-    Vanilla,
-    /// FaaSBatch: window batching + inline parallelism + multiplexing.
-    FaasBatch(FaasBatchConfig),
-}
-
-impl WorkerScheduler {
-    /// Scheduler name as it appears in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorkerScheduler::Vanilla => "vanilla",
-            WorkerScheduler::FaasBatch(_) => "faasbatch",
-        }
-    }
-}
-
-impl Default for WorkerScheduler {
-    fn default() -> Self {
-        WorkerScheduler::FaasBatch(FaasBatchConfig::default())
-    }
-}
 
 /// How a worker leaves the fleet mid-replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,8 +42,13 @@ pub struct FleetConfig {
     pub window: SimDuration,
     /// Per-worker simulation config (identical across workers).
     pub sim: SimConfig,
-    /// Per-worker scheduler.
-    pub scheduler: WorkerScheduler,
+    /// The scheduler every worker runs. The fleet is homogeneous — the
+    /// paper's single-worker comparison is reproduced per worker, and the
+    /// fleet layer isolates *routing* policy on top of it.
+    pub scheduler: SchedulerKind,
+    /// FaaSBatch's knobs when `scheduler` is FaaSBatch; its `window` is also
+    /// the dispatch window of the other windowed scheduler, Kraken.
+    pub faasbatch: FaasBatchConfig,
     /// Scheduled worker faults.
     pub faults: Vec<WorkerFault>,
     /// Maximum re-dispatch attempts per invocation before the run is
@@ -91,7 +70,8 @@ impl Default for FleetConfig {
             workers: 4,
             window: SimDuration::from_millis(200),
             sim: SimConfig::default(),
-            scheduler: WorkerScheduler::default(),
+            scheduler: SchedulerKind::FaasBatch,
+            faasbatch: FaasBatchConfig::default(),
             faults: Vec::new(),
             max_retries: 3,
             redispatch_delay: SimDuration::from_millis(50),
@@ -119,6 +99,14 @@ impl FleetConfig {
             if let Err(e) = ac.validate() {
                 panic!("invalid autoscaler config: {e}");
             }
+        }
+    }
+
+    /// What every worker builds its scheduler from.
+    pub fn setup(&self) -> SchedulerSetup {
+        SchedulerSetup {
+            faasbatch: self.faasbatch.clone(),
+            ..SchedulerSetup::new(self.faasbatch.window)
         }
     }
 

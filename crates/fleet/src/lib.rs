@@ -6,8 +6,10 @@
 //! The paper evaluates FaaSBatch on one 32-vCPU worker. This crate scales
 //! that model out: a fleet-level front door routes the invocation stream
 //! across N identical workers, each replaying its share through the
-//! unchanged `faasbatch-schedulers` harness (running either FaaSBatch or
-//! the Vanilla baseline). Three ideas define the layer:
+//! shared runner ([`run_kinds`](faasbatch_core::scheduler_kind::run_kinds)),
+//! under any of the six schedulers of
+//! [`SchedulerKind`](faasbatch_core::scheduler_kind::SchedulerKind).
+//! Three ideas define the layer:
 //!
 //! 1. **Pluggable routing** ([`routing`]) — a [`routing::RoutingPolicy`]
 //!    trait with four built-ins: [`routing::RoundRobin`],
@@ -69,7 +71,7 @@ pub mod report;
 pub mod routing;
 pub mod sim;
 
-pub use config::{FaultKind, FleetConfig, WorkerFault, WorkerScheduler};
+pub use config::{FaultKind, FleetConfig, WorkerFault};
 pub use error::FleetError;
 pub use report::{FleetRecord, FleetReport, WorkerReport};
 pub use routing::{RoutingKind, RoutingPolicy};

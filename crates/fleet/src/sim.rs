@@ -3,9 +3,9 @@
 //! The router walks the workload in arrival order, forms function groups
 //! (same function, same dispatch window), and places each group on one
 //! worker via the [`RoutingPolicy`]. Each
-//! worker then replays its sub-trace through the unchanged single-worker
-//! harness (`run_simulation` / `run_faasbatch`), so per-worker behaviour is
-//! identical to the paper's single-node evaluation.
+//! worker then replays its sub-trace through the shared single-worker
+//! runner ([`run_kinds`]), so per-worker behaviour is identical to the
+//! paper's single-node evaluation.
 //!
 //! Faults are applied afterwards, crash by crash in chronological order: a
 //! crashed worker keeps every record that completed before the crash
@@ -15,18 +15,16 @@
 //! latency, so fleet records satisfy the same consistency invariant as
 //! single-worker records.
 
-use crate::config::{FleetConfig, WorkerScheduler};
+use crate::config::FleetConfig;
 use crate::error::FleetError;
 use crate::report::{FleetRecord, FleetReport, WorkerReport};
 use crate::routing::{RouterCtx, RoutingPolicy, WorkerLoad};
 use faasbatch_container::ids::{FunctionId, InvocationId};
-use faasbatch_core::policy::{run_faasbatch, run_faasbatch_traced};
+use faasbatch_core::scheduler_kind::run_kinds;
 use faasbatch_metrics::autoscaler::AutoscalerSink;
 use faasbatch_metrics::events::{EventKind, SimEvent, TraceSink};
 use faasbatch_metrics::report::RunReport;
 use faasbatch_metrics::sampler::ResourceSampler;
-use faasbatch_schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch_schedulers::vanilla::Vanilla;
 use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_trace::workload::{Invocation, Workload};
 use std::collections::{BTreeSet, HashMap};
@@ -424,35 +422,18 @@ fn replay_worker(
     // With a controller configured, every worker runs its own fresh
     // `AutoscalerSink` — the fleet-level stream is synthesized post-hoc, so
     // per-worker control loops are the only honest placement.
-    let report = match (&cfg.scheduler, &cfg.autoscaler) {
-        (WorkerScheduler::Vanilla, None) => {
-            run_simulation(Box::new(Vanilla::new()), &sub, cfg.sim.clone(), label, None)
-        }
-        (WorkerScheduler::Vanilla, Some(ac)) => {
-            run_simulation_traced(
-                Box::new(Vanilla::new()),
-                &sub,
-                cfg.sim.clone(),
-                label,
-                None,
-                Box::new(AutoscalerSink::new(ac.clone())),
-            )
-            .0
-        }
-        (WorkerScheduler::FaasBatch(fb), None) => {
-            run_faasbatch(&sub, cfg.sim.clone(), fb.clone(), label)
-        }
-        (WorkerScheduler::FaasBatch(fb), Some(ac)) => {
-            run_faasbatch_traced(
-                &sub,
-                cfg.sim.clone(),
-                fb.clone(),
-                label,
-                Box::new(AutoscalerSink::new(ac.clone())),
-            )
-            .0
-        }
-    };
+    let mut runs = run_kinds(
+        &[cfg.scheduler],
+        &sub,
+        &cfg.sim,
+        label,
+        &cfg.setup(),
+        |_| {
+            let ac = cfg.autoscaler.as_ref()?;
+            Some(Box::new(AutoscalerSink::new(ac.clone())))
+        },
+    );
+    let (report, _) = runs.pop().expect("one run per kind");
     (report, metas)
 }
 
@@ -461,10 +442,7 @@ fn empty_report(cfg: &FleetConfig, label: &str) -> RunReport {
     RunReport {
         scheduler: cfg.scheduler.name().to_owned(),
         workload: label.to_owned(),
-        dispatch_interval: match &cfg.scheduler {
-            WorkerScheduler::Vanilla => None,
-            WorkerScheduler::FaasBatch(fb) => Some(fb.window),
-        },
+        dispatch_interval: cfg.scheduler.build(&cfg.setup()).1,
         records: Vec::new(),
         sampler: ResourceSampler::new(),
         provisioned_containers: 0,
@@ -515,6 +493,7 @@ mod tests {
     use super::*;
     use crate::config::{FaultKind, WorkerFault};
     use crate::routing::RoutingKind;
+    use faasbatch_core::scheduler_kind::SchedulerKind;
     use faasbatch_simcore::rng::DetRng;
     use faasbatch_trace::workload::{cpu_workload, WorkloadConfig};
 
@@ -561,17 +540,22 @@ mod tests {
     #[test]
     fn single_worker_fleet_matches_direct_run() {
         let w = small_workload(1);
-        let cfg = fleet_cfg(1);
-        let fleet = run_ok(&w, &cfg, RoutingKind::RoundRobin.build(), "cpu");
-        let WorkerScheduler::FaasBatch(fb) = &cfg.scheduler else {
-            panic!("default scheduler is faasbatch");
-        };
-        let direct = run_faasbatch(&w, cfg.sim.clone(), fb.clone(), "cpu");
-        assert_conserved(&w, &fleet);
-        assert_eq!(fleet.workers[0].report, direct);
-        assert_eq!(fleet.records.len(), direct.records.len());
-        for (f, d) in fleet.records.iter().zip(&direct.records) {
-            assert_eq!(&f.record, d);
+        for kind in SchedulerKind::ALL {
+            let cfg = FleetConfig {
+                scheduler: kind,
+                ..fleet_cfg(1)
+            };
+            let fleet = run_ok(&w, &cfg, RoutingKind::RoundRobin.build(), "cpu");
+            let (direct, _) = run_kinds(&[kind], &w, &cfg.sim, "cpu", &cfg.setup(), |_| None)
+                .pop()
+                .expect("one run");
+            assert_conserved(&w, &fleet);
+            assert_eq!(fleet.scheduler, kind.name());
+            assert_eq!(fleet.workers[0].report, direct, "{}", kind.name());
+            assert_eq!(fleet.records.len(), direct.records.len());
+            for (f, d) in fleet.records.iter().zip(&direct.records) {
+                assert_eq!(&f.record, d, "{}", kind.name());
+            }
         }
     }
 
@@ -708,7 +692,7 @@ mod tests {
         let w = small_workload(8);
         let cfg = FleetConfig {
             workers: 2,
-            scheduler: WorkerScheduler::Vanilla,
+            scheduler: SchedulerKind::Vanilla,
             ..FleetConfig::default()
         };
         let report = run_ok(&w, &cfg, RoutingKind::PullBased.build(), "cpu");

@@ -4,19 +4,15 @@
 //!
 //! Run with: `cargo run --release --example scheduler_comparison`
 
-use faasbatch::core::policy::{run_faasbatch, FaasBatchConfig};
+use faasbatch::core::scheduler_kind::{run_kinds, SchedulerKind, SchedulerSetup};
 use faasbatch::metrics::report::{percent_reduction, text_table};
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::run_simulation;
-use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
-use faasbatch::schedulers::sfs::Sfs;
-use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{io_workload, WorkloadConfig};
 
 fn main() {
-    let window = SimDuration::from_millis(200);
+    let setup = SchedulerSetup::new(SimDuration::from_millis(200));
     let workload = io_workload(
         &DetRng::new(7),
         &WorkloadConfig {
@@ -29,21 +25,18 @@ fn main() {
     );
     let cfg = SimConfig::default();
 
-    let vanilla = run_simulation(Box::new(Vanilla::new()), &workload, cfg.clone(), "io", None);
-    let sfs = run_simulation(Box::new(Sfs::new()), &workload, cfg.clone(), "io", None);
-    let kraken = run_simulation(
-        Box::new(Kraken::new(
-            KrakenCalibration::from_vanilla(&vanilla),
-            window,
-        )),
+    // One runner for every scheduler; it calibrates Kraken from the Vanilla
+    // run of the same workload.
+    let runs = run_kinds(
+        &SchedulerKind::PAPER_FOUR,
         &workload,
-        cfg.clone(),
+        &cfg,
         "io",
-        Some(window),
+        &setup,
+        |_| None,
     );
-    let faasbatch = run_faasbatch(&workload, cfg, FaasBatchConfig::default(), "io");
-
-    let reports = [&vanilla, &sfs, &kraken, &faasbatch];
+    let reports: Vec<_> = runs.into_iter().map(|(report, _)| report).collect();
+    let (vanilla, faasbatch) = (&reports[0], &reports[3]);
     let rows: Vec<Vec<String>> = reports
         .iter()
         .map(|r| {

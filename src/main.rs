@@ -1,38 +1,25 @@
 //! `faasbatch` — command-line front end for the reproduction.
 //!
-//! ```text
-//! faasbatch compare  [--workload cpu|io] [--seed N] [--window-ms N]
-//!                    [--total N] [--span-s N] [--functions N] [--no-multiplex]
-//! faasbatch workload [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-//! faasbatch fleet    [--workers N] [--policy NAME] [--scheduler faasbatch|vanilla]
-//!                    [--crash W@MS,...] [--drain W@MS,...]
-//! faasbatch trace    [--scheduler NAME] [--workload cpu|io] [--seed N]
-//!                    [--out FILE] [--chrome FILE] [--analyze FILE]
-//! faasbatch trace-diff A.jsonl B.jsonl [--top K] [--json FILE]
-//! faasbatch live     [--jobs N] [--batch-size N] [--workers N]
-//!                    [--backend executor|thread-per-job] [--out FILE]
-//!                    [--metrics-addr HOST:PORT] [--flight-record FILE]
-//! faasbatch top      [--addr HOST:PORT]
-//! faasbatch figures
-//! faasbatch help
-//! ```
+//! Every subcommand declares its flags in one [`Command`] table (name,
+//! value placeholder, default, help); the usage text, the option parser,
+//! and every default are read from those tables. Run `faasbatch help` for
+//! the generated usage.
 
 use faasbatch::container::snapshot::{EvictionPolicy, SnapshotConfig};
 use faasbatch::core::policy::FaasBatchConfig;
-use faasbatch::core::scheduler_kind::{SchedulerKind, SchedulerSetup};
-use faasbatch::fleet::config::{FaultKind, FleetConfig, WorkerFault, WorkerScheduler};
+use faasbatch::core::scheduler_kind::{run_kinds, KindRun, SchedulerKind, SchedulerSetup};
+use faasbatch::fleet::config::{FaultKind, FleetConfig, WorkerFault};
 use faasbatch::fleet::routing::RoutingKind;
 use faasbatch::fleet::sim::run_fleet;
 use faasbatch::metrics::analysis::{
     diff_reports, load_events, AttributionEngine, AttributionReport,
 };
 use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
-use faasbatch::metrics::events::{chrome_trace_to, AuditorSink, MultiSink, TraceSink, VecSink};
+use faasbatch::metrics::events::{
+    chrome_trace_to, AuditorSink, MultiSink, SimEvent, TraceSink, VecSink,
+};
 use faasbatch::metrics::report::{text_table, RunReport};
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch::schedulers::kraken::KrakenCalibration;
-use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::arrival::{bin_counts, burstiness};
@@ -40,199 +27,368 @@ use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadCo
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-/// Builds the usage text. The scheduler and eviction-policy lists come
-/// straight from [`SchedulerKind::ALL`] / [`EvictionPolicy::ALL`], so a new
-/// registry entry shows up here without touching this string.
+type Str = &'static str;
+
+/// One flag of a subcommand.
+struct Flag {
+    /// The flag as typed, e.g. `--seed`.
+    name: Str,
+    /// Placeholder for the flag's value in the usage; `None` marks a
+    /// boolean flag that takes no value.
+    metavar: Option<Str>,
+    /// The value used when the flag is absent; `None` when there is none.
+    default: Option<Str>,
+    /// One line of help.
+    help: Str,
+}
+
+/// A flag that takes a value and has a default.
+const fn value(name: Str, metavar: Str, default: Str, help: Str) -> Flag {
+    Flag {
+        name,
+        metavar: Some(metavar),
+        default: Some(default),
+        help,
+    }
+}
+
+/// A flag that takes a value and has no default.
+const fn optional(name: Str, metavar: Str, help: Str) -> Flag {
+    Flag {
+        name,
+        metavar: Some(metavar),
+        default: None,
+        help,
+    }
+}
+
+/// A boolean flag: present means true.
+const fn switch(name: Str, help: Str) -> Flag {
+    Flag {
+        name,
+        metavar: None,
+        default: None,
+        help,
+    }
+}
+
+/// A subcommand: its flag table, usage lines, and entry point.
+struct Command {
+    /// The words that select it, e.g. `compare` or `live --gateway`.
+    name: Str,
+    /// Positional arguments in the usage line (empty: none accepted).
+    positionals: Str,
+    /// What the command does.
+    about: Str,
+    /// Its flags, as slices so commands can share groups of them.
+    flags: &'static [&'static [Flag]],
+    /// Runs the command on its parsed options.
+    run: fn(&Options) -> Result<(), String>,
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags().find(|f| f.name == name)
+    }
+}
+
+/// Per-kind workload defaults: kind, invocations, span (s), bursts.
+const WORKLOAD_KINDS: [(&str, usize, u64, usize); 2] = [("cpu", 800, 60, 6), ("io", 400, 30, 4)];
+
+/// Flags of every command that generates a workload.
+#[rustfmt::skip]
+const WORKLOAD_FLAGS: &[Flag] = &[
+    value("--workload", "KIND", "cpu", "workload kind, cpu|io"),
+    value("--seed", "N", "2023", "workload RNG seed"),
+    optional("--total", "N", "invocations (default: 800 for cpu, 400 for io)"),
+    optional("--span-s", "N", "arrival span in seconds (default: 60 for cpu, 30 for io)"),
+    value("--functions", "N", "8", "distinct functions"),
+    optional("--bursts", "N", "arrival bursts (default: 6 for cpu, 4 for io)"),
+    value("--heterogeneity", "H", "0.0", "per-function duration heterogeneity"),
+];
+
+/// Flags of every command that replays a workload in the simulator.
+#[rustfmt::skip]
+const REPLAY_FLAGS: &[Flag] = &[
+    value("--window-ms", "N", "200", "dispatch window in ms (at least 1)"),
+    optional("--import", "FILE", "replay a workload exported by `workload --export`"),
+];
+
+/// The snapshot-restore start tier of the single-worker simulator.
+#[rustfmt::skip]
+const SNAPSHOT_FLAGS: &[Flag] = &[
+    value("--snapshot-cap", "N", "0", "snapshot cache slots (0 = tier off)"),
+    value("--snapshot-eviction", "EVICTION", "lru", "snapshot cache eviction policy"),
+];
+
+/// Flags of both `live` modes.
+#[rustfmt::skip]
+const LIVE_FLAGS: &[Flag] = &[
+    value("--batch-size", "N", "100", "invocations per function"),
+    value("--window-ms", "N", "25", "dispatch window in ms"),
+    value("--cold-ms", "N", "2", "cold-start delay in ms"),
+    value("--work-us", "N", "250", "handler sleep per invocation in µs"),
+    switch("--audit", "audit and attribute the emitted event stream"),
+    optional("--out", "FILE", "export the event stream as JSONL"),
+    optional("--metrics-addr", "HOST:PORT", "serve Prometheus /metrics and /json"),
+    value("--serve-ms", "N", "0", "hold the metrics endpoint open after the burst"),
+    optional("--flight-record", "FILE", "dump a ring of recent events as JSONL on exit"),
+    value("--flight-capacity", "N", "262144", "flight recorder ring size"),
+];
+
+/// Every subcommand, in usage order.
+#[rustfmt::skip]
+const COMMANDS: [Command; 11] = [
+    Command {
+        name: "compare",
+        positionals: "",
+        about: "replay one workload under every SCHEDULER",
+        flags: &[WORKLOAD_FLAGS, REPLAY_FLAGS, SNAPSHOT_FLAGS, &[
+            switch("--no-multiplex", "turn FaaSBatch's resource multiplexer off"),
+        ]],
+        run: cmd_compare,
+    },
+    Command {
+        name: "workload",
+        positionals: "",
+        about: "generate a workload and print its statistics",
+        flags: &[WORKLOAD_FLAGS, &[
+            optional("--export", "FILE", "write the workload as JSON"),
+        ]],
+        run: cmd_workload,
+    },
+    Command {
+        name: "fleet",
+        positionals: "",
+        about: "replay one workload across a fleet of workers, with optional faults",
+        flags: &[WORKLOAD_FLAGS, REPLAY_FLAGS, &[
+            value("--workers", "N", "4", "fleet size"),
+            value("--policy", "POLICY", "least-loaded", "routing policy"),
+            value("--scheduler", "SCHEDULER", "faasbatch", "scheduler of every worker"),
+            value("--max-retries", "N", "3", "re-dispatch budget per invocation"),
+            value("--redispatch-ms", "N", "50", "delay before a crash's re-dispatch"),
+            optional("--crash", "W@MS[,W@MS…]", "crash worker W at MS ms"),
+            optional("--drain", "W@MS[,W@MS…]", "drain worker W at MS ms"),
+        ]],
+        run: cmd_fleet,
+    },
+    Command {
+        name: "trace",
+        positionals: "",
+        about: "replay under one scheduler; audit, attribute, and export the event stream",
+        flags: &[WORKLOAD_FLAGS, REPLAY_FLAGS, SNAPSHOT_FLAGS, &[
+            value("--scheduler", "SCHEDULER", "faasbatch", "scheduler to trace"),
+            switch("--no-multiplex", "turn FaaSBatch's resource multiplexer off"),
+            optional("--out", "FILE", "JSONL path (default: results/trace_SCHEDULER.jsonl)"),
+            optional("--chrome", "FILE", "also write a Chrome about:tracing timeline"),
+            optional("--analyze", "FILE", "instead attribute an existing JSONL log offline"),
+        ]],
+        run: cmd_trace,
+    },
+    Command {
+        name: "trace-diff",
+        positionals: "A.jsonl B.jsonl",
+        about: "attribute the latency delta between two event logs to named phases",
+        flags: &[&[
+            value("--top", "K", "10", "invocations with the largest deltas to list"),
+            optional("--json", "FILE", "write the diff as JSON"),
+        ]],
+        run: cmd_trace_diff,
+    },
+    Command {
+        name: "autoscale",
+        positionals: "",
+        about: "replay under one scheduler, static config vs the autoscaling controller",
+        flags: &[WORKLOAD_FLAGS, REPLAY_FLAGS, SNAPSHOT_FLAGS, &[
+            value("--scheduler", "SCHEDULER", "faasbatch", "scheduler to replay"),
+            value("--keepalive-s", "N", "2", "static keep-alive in seconds"),
+            value("--prewarm-cap", "N", "4", "controller prewarm cap per function"),
+            value("--keepalive-floor-s", "N", "2", "controller keep-alive floor in seconds"),
+            value("--keepalive-ceiling-s", "N", "60", "controller keep-alive ceiling in seconds"),
+            switch("--snapshot-prewarm", "let the controller pick the prewarm tier"),
+        ]],
+        run: cmd_autoscale,
+    },
+    Command {
+        name: "live",
+        positionals: "",
+        about: "fire a synthetic burst at the live platform; print throughput and latency",
+        flags: &[LIVE_FLAGS, &[
+            value("--jobs", "N", "2000", "invocations to fire"),
+            value("--workers", "N", "0", "executor workers (0 = executor default)"),
+            value("--seed", "N", "2023", "executor seed"),
+            value("--backend", "BACKEND", "executor", "executor|thread-per-job"),
+            value("--snapshots", "N", "0", "template snapshots per function"),
+            value("--restore-ms", "N", "1", "snapshot restore delay in ms"),
+        ]],
+        run: cmd_live,
+    },
+    Command {
+        name: "live --gateway",
+        positionals: "",
+        about: "fire the burst through the sharded live gateway onto live workers",
+        flags: &[LIVE_FLAGS, &[
+            switch("--gateway", "selects this mode"),
+            value("--jobs", "N", "20000", "invocations to fire"),
+            value("--workers", "N", "8", "live worker platforms"),
+            value("--shards", "N", "4", "ingress shards"),
+            value("--shard-depth", "N", "65536", "per-shard queue bound"),
+            value("--policy", "POLICY", "least-loaded", "routing policy"),
+        ]],
+        run: cmd_live_gateway,
+    },
+    Command {
+        name: "top",
+        positionals: "",
+        about: "one-shot table of a running live endpoint's /json snapshot",
+        flags: &[&[value("--addr", "HOST:PORT", "127.0.0.1:9100", "live metrics endpoint")]],
+        run: cmd_top,
+    },
+    Command {
+        name: "figures",
+        positionals: "",
+        about: "list the per-figure regeneration binaries",
+        flags: &[],
+        run: cmd_figures,
+    },
+    Command {
+        name: "help",
+        positionals: "",
+        about: "print this text",
+        flags: &[],
+        run: cmd_help,
+    },
+];
+
+/// One command's usage: its synopsis, what it does, and its flag table.
+fn command_usage(cmd: &Command) -> String {
+    use std::fmt::Write as _;
+    let synopsis = format!("faasbatch {} {}", cmd.name, cmd.positionals);
+    let options = if cmd.flags.is_empty() {
+        ""
+    } else {
+        " [options]"
+    };
+    let mut text = format!("{}{options}\n    {}\n", synopsis.trim_end(), cmd.about);
+    for f in cmd.flags() {
+        let spec = format!("{} {}", f.name, f.metavar.unwrap_or(""));
+        let default = f.default.map(|d| format!(" (default: {d})"));
+        let help = format!("{}{}", f.help, default.unwrap_or_default());
+        let _ = writeln!(text, "    {:<30} {help}", spec.trim_end());
+    }
+    text
+}
+
+/// Builds the usage text from [`COMMANDS`]; the value lists come from the
+/// registries ([`SchedulerKind::ALL`], [`RoutingKind::ALL`],
+/// [`EvictionPolicy::ALL`]), so a new entry shows up without touching this.
 fn usage() -> String {
-    let schedulers = SchedulerKind::ALL.map(SchedulerKind::name).join("|");
-    let evictions = EvictionPolicy::ALL.map(EvictionPolicy::name).join("|");
-    let scheduler_count = SchedulerKind::ALL.len();
+    let commands: Vec<String> = COMMANDS.iter().map(command_usage).collect();
     format!(
-        "faasbatch — FaaSBatch (ICDCS'23) reproduction CLI
-
-USAGE:
-    faasbatch compare  [--workload cpu|io] [--seed N] [--window-ms N]
-                       [--total N] [--span-s N] [--functions N]
-                       [--no-multiplex] [--import FILE]
-                       [--snapshot-cap N] [--snapshot-eviction {evictions}]
-    faasbatch workload [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-                       [--heterogeneity H] [--export FILE]
-    faasbatch fleet    [--workers N] [--policy round-robin|least-loaded|
-                       warm-affinity|pull-based] [--scheduler faasbatch|vanilla]
-                       [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-                       [--window-ms N] [--max-retries N] [--redispatch-ms N]
-                       [--crash W@MS[,W@MS…]] [--drain W@MS[,W@MS…]]
-    faasbatch trace    [--scheduler {schedulers}]
-                       [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-                       [--window-ms N] [--no-multiplex] [--import FILE]
-                       [--snapshot-cap N] [--snapshot-eviction {evictions}]
-                       [--out FILE] [--chrome FILE] [--analyze FILE]
-    faasbatch trace-diff A.jsonl B.jsonl [--top K] [--json FILE]
-    faasbatch autoscale [--scheduler {schedulers}]
-                       [--workload cpu|io] [--seed N] [--total N] [--span-s N]
-                       [--window-ms N] [--keepalive-s N] [--prewarm-cap N]
-                       [--keepalive-floor-s N] [--keepalive-ceiling-s N]
-                       [--snapshot-cap N] [--snapshot-eviction {evictions}]
-                       [--snapshot-prewarm] [--import FILE]
-    faasbatch live     [--jobs N] [--batch-size N] [--workers N] [--seed N]
-                       [--backend executor|thread-per-job] [--window-ms N]
-                       [--cold-ms N] [--work-us N] [--audit] [--out FILE]
-                       [--snapshots N] [--restore-ms N]
-                       [--metrics-addr HOST:PORT] [--serve-ms N]
-                       [--flight-record FILE] [--flight-capacity N]
-                       [--gateway [--shards N] [--shard-depth N]
-                       [--policy round-robin|least-loaded|
-                       warm-affinity|pull-based]]
-    faasbatch top      [--addr HOST:PORT]
-    faasbatch figures
-    faasbatch help
-
-COMMANDS:
-    compare    replay one workload under all {scheduler_count} schedulers
-               ({schedulers})
-    workload   generate a workload and print its statistics
-    fleet      replay one workload across a multi-worker fleet with a
-               pluggable routing policy and optional worker faults
-    trace      replay one workload under one scheduler, audit the event
-               stream, print the latency attribution summary, and export the
-               stream as JSONL (and optionally as a Chrome about:tracing
-               timeline via --chrome); --analyze FILE instead attributes an
-               existing JSONL log offline
-    trace-diff explain why run B is faster or slower than run A: align two
-               JSONL event logs by invocation id and attribute the latency
-               delta to named phases (cold start, queue, contention, …)
-    autoscale  replay one workload under one scheduler twice — static config
-               vs the trace-driven autoscaling controller — audit the
-               controller's actions, and print the comparison
-    live       fire a synthetic burst at the real (wall-clock) platform on
-               the work-stealing executor (or the thread-per-job baseline)
-               and print throughput plus p50/p95/p99 latency; --audit replays
-               the emitted event stream through the invariant auditor and the
-               attribution engine, --out FILE exports it as JSONL (readable
-               by `faasbatch trace --analyze`); with --gateway the burst
-               instead enters the sharded live gateway, which routes each
-               dispatch-window group as a unit across --workers N live
-               worker platforms (default 8) from --shards N ingress shards
-               under the chosen routing policy, with per-shard admission
-               control (saturated shards reject instead of buffering);
-               --metrics-addr serves live Prometheus text on /metrics and a
-               JSON snapshot on /json (--serve-ms holds the endpoint open
-               after the burst), --flight-record FILE keeps a bounded ring
-               of recent events and dumps it as JSONL on panic or shutdown
-               (readable by `faasbatch trace --analyze`)
-    top        one-shot renderer over a running live endpoint's /json
-               snapshot: counters, gauges, and histogram quantiles
-    figures    list the per-figure regeneration binaries
-
-Workloads exported with `workload --export` replay bit-identically via
-`compare --import`. Defaults: cpu workload, seed 2023, 200 ms window,
-paper-sized totals. `--snapshot-cap N` enables the snapshot-restore start
-tier with N cache slots (0 = off); `--snapshot-prewarm` lets the autoscale
-controller pick the prewarm tier by predicted re-use horizon."
+        "faasbatch — FaaSBatch (ICDCS'23) reproduction CLI\n\n{}\nVALUES:\n    \
+         SCHEDULER  {}\n    POLICY     {}\n    EVICTION   {}\n\n\
+         {} schedulers are registered. Workloads exported with `workload --export`\n\
+         replay bit-identically via `--import`.",
+        commands.join("\n"),
+        SchedulerKind::ALL.map(SchedulerKind::name).join("|"),
+        RoutingKind::ALL.map(RoutingKind::name).join("|"),
+        EvictionPolicy::ALL.map(EvictionPolicy::name).join("|"),
+        SchedulerKind::ALL.len()
     )
 }
 
-/// Options that take no value (presence alone means \"true\").
-const BOOLEAN_FLAGS: [&str; 4] = [
-    "--no-multiplex",
-    "--audit",
-    "--gateway",
-    "--snapshot-prewarm",
-];
-
-/// Splits an argument list into positional arguments and `--key [value]`
-/// option tokens, preserving order within each group. Subcommands that take
-/// positionals (`trace-diff A B`) run this first and feed the option tokens
-/// to [`Options::parse`].
-fn split_positionals(args: &[String]) -> (Vec<String>, Vec<String>) {
-    let mut positionals = Vec::new();
-    let mut options = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with("--") {
-            options.push(arg.clone());
-            if !BOOLEAN_FLAGS.contains(&arg.as_str()) {
-                if let Some(value) = args.get(i + 1) {
-                    options.push(value.clone());
-                    i += 1;
-                }
-            }
-        } else {
-            positionals.push(arg.clone());
-        }
-        i += 1;
-    }
-    (positionals, options)
-}
-
-/// Parsed `--key value` options (flags map to \"true\").
-#[derive(Debug, Default)]
+/// Parsed options of one [`Command`]: the given flags and positionals;
+/// absent flags read their default from the command's table.
 struct Options {
-    values: HashMap<String, String>,
+    command: &'static Command,
+    values: HashMap<Str, String>,
+    positionals: Vec<String>,
 }
 
 impl Options {
-    /// Parses options; returns an error message on malformed input.
-    fn parse(args: &[String]) -> Result<Options, String> {
-        let flags = BOOLEAN_FLAGS;
+    /// Parses `args` against `command`'s flag table. An unknown flag, a
+    /// flag missing its value, or a positional the command does not take
+    /// is an error naming it.
+    fn parse(command: &'static Command, args: &[String]) -> Result<Options, String> {
         let mut values = HashMap::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = &args[i];
-            if !key.starts_with("--") {
-                return Err(format!("unexpected argument: {key}"));
+        let mut positionals = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                if command.positionals.is_empty() {
+                    return Err(format!("unexpected argument: {arg}"));
+                }
+                positionals.push(arg.clone());
+                continue;
             }
-            if flags.contains(&key.as_str()) {
-                values.insert(key.clone(), "true".to_owned());
-                i += 1;
-            } else {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("missing value for {key}"))?;
-                values.insert(key.clone(), value.clone());
-                i += 2;
-            }
+            let flag = command
+                .flag(arg)
+                .ok_or_else(|| format!("unknown flag {arg} for `faasbatch {}`", command.name))?;
+            let value = match flag.metavar {
+                None => "true".to_owned(),
+                Some(_) => args
+                    .next()
+                    .ok_or_else(|| format!("missing value for {arg}"))?
+                    .clone(),
+            };
+            values.insert(flag.name, value);
         }
-        Ok(Options { values })
+        Ok(Options {
+            command,
+            values,
+            positionals,
+        })
     }
 
-    fn str(&self, key: &str, default: &str) -> String {
+    /// The given value of `key`, else its default. Asking for a flag the
+    /// command does not declare is a bug in the command, not bad input.
+    fn value(&self, key: &str) -> Option<&str> {
+        let flag = self.command.flag(key);
+        let flag = flag.unwrap_or_else(|| panic!("{key} is not a flag of `{}`", self.command.name));
         self.values
-            .get(key)
-            .cloned()
-            .unwrap_or_else(|| default.to_owned())
+            .get(flag.name)
+            .map(String::as_str)
+            .or(flag.default)
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid number for {key}: {v}")),
-        }
+    /// `key`'s value parsed, `None` when absent without a default.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.value(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value for {key}: {v}"))
+            })
+            .transpose()
     }
 
+    /// `key`'s value (or default) parsed.
+    fn get<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+        self.opt(key)?.ok_or_else(|| format!("missing {key}"))
+    }
+
+    /// Whether boolean flag `key` was given.
     fn flag(&self, key: &str) -> bool {
-        self.values.contains_key(key)
+        self.value(key).is_some()
     }
 }
 
 fn build_workload(opts: &Options) -> Result<(String, Workload), String> {
-    let kind = opts.str("--workload", "cpu");
-    let seed: u64 = opts.num("--seed", 2023)?;
-    let rng = DetRng::new(seed);
-    let (default_total, default_span) = match kind.as_str() {
-        "cpu" => (800usize, 60u64),
-        "io" => (400, 30),
-        other => return Err(format!("unknown workload kind: {other} (use cpu|io)")),
-    };
+    let kind: String = opts.get("--workload")?;
+    let &(_, total, span_s, bursts) = WORKLOAD_KINDS
+        .iter()
+        .find(|k| k.0 == kind)
+        .ok_or_else(|| format!("unknown workload kind: {kind} (use cpu|io)"))?;
+    let rng = DetRng::new(opts.get("--seed")?);
     let cfg = WorkloadConfig {
-        total: opts.num("--total", default_total)?,
-        span: SimDuration::from_secs(opts.num("--span-s", default_span)?),
-        functions: opts.num("--functions", 8)?,
-        bursts: opts.num("--bursts", if kind == "cpu" { 6 } else { 4 })?,
-        heterogeneity: opts.num("--heterogeneity", 0.0)?,
+        total: opts.opt("--total")?.unwrap_or(total),
+        span: SimDuration::from_secs(opts.opt("--span-s")?.unwrap_or(span_s)),
+        functions: opts.get("--functions")?,
+        bursts: opts.opt("--bursts")?.unwrap_or(bursts),
+        heterogeneity: opts.get("--heterogeneity")?,
     };
     let w = match kind.as_str() {
         "cpu" => cpu_workload(&rng, &cfg),
@@ -242,7 +398,7 @@ fn build_workload(opts: &Options) -> Result<(String, Workload), String> {
 }
 
 fn load_or_build(opts: &Options) -> Result<(String, Workload), String> {
-    match opts.values.get("--import") {
+    match opts.value("--import") {
         None => build_workload(opts),
         Some(path) => {
             let json =
@@ -254,11 +410,26 @@ fn load_or_build(opts: &Options) -> Result<(String, Workload), String> {
     }
 }
 
+/// The simulators' `--window-ms`. A zero window is an input error here,
+/// before any scheduler could assert on it.
+fn sim_window(opts: &Options) -> Result<SimDuration, String> {
+    match opts.get("--window-ms")? {
+        0 => Err("--window-ms must be at least 1".to_owned()),
+        ms => Ok(SimDuration::from_millis(ms)),
+    }
+}
+
+/// The `--scheduler` of `trace`, `autoscale`, and `fleet`; an unknown name
+/// is an error listing every valid scheduler.
+fn scheduler_kind(opts: &Options) -> Result<SchedulerKind, String> {
+    let name: String = opts.get("--scheduler")?;
+    SchedulerKind::parse(&name).map_err(|e| e.to_string())
+}
+
 /// Parses the `--snapshot-cap` / `--snapshot-eviction` pair shared by the
 /// simulation subcommands. Capacity 0 (the default) leaves the tier off.
 fn snapshot_config(opts: &Options) -> Result<SnapshotConfig, String> {
-    let capacity: usize = opts.num("--snapshot-cap", 0)?;
-    let name = opts.str("--snapshot-eviction", EvictionPolicy::default().name());
+    let name: String = opts.get("--snapshot-eviction")?;
     let eviction = EvictionPolicy::parse(&name).ok_or_else(|| {
         format!(
             "unknown eviction policy: {name} (use {})",
@@ -266,7 +437,7 @@ fn snapshot_config(opts: &Options) -> Result<SnapshotConfig, String> {
         )
     })?;
     Ok(SnapshotConfig {
-        capacity,
+        capacity: opts.get("--snapshot-cap")?,
         eviction,
         ..SnapshotConfig::default()
     })
@@ -274,7 +445,7 @@ fn snapshot_config(opts: &Options) -> Result<SnapshotConfig, String> {
 
 fn cmd_compare(opts: &Options) -> Result<(), String> {
     let (label, w) = load_or_build(opts)?;
-    let window = SimDuration::from_millis(opts.num("--window-ms", 200)?);
+    let window = sim_window(opts)?;
     let cfg = SimConfig {
         snapshot: snapshot_config(opts)?,
         ..SimConfig::default()
@@ -283,15 +454,10 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
         "replaying {} invocations ({label}) with a {window} window…\n",
         w.len()
     );
-    let vanilla = run_simulation(Box::new(Vanilla::new()), &w, cfg.clone(), &label, None);
-    let mut setup = SchedulerSetup::new(window)
-        .with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
+    let mut setup = SchedulerSetup::new(window);
     setup.faasbatch.multiplex = !opts.flag("--no-multiplex");
-    let mut reports = vec![vanilla];
-    for kind in &SchedulerKind::ALL[1..] {
-        let (policy, interval) = kind.build(&setup);
-        reports.push(run_simulation(policy, &w, cfg.clone(), &label, interval));
-    }
+    let runs = run_kinds(&SchedulerKind::ALL, &w, &cfg, &label, &setup, |_| None);
+    let reports: Vec<RunReport> = runs.into_iter().map(|(report, _)| report).collect();
 
     let rows: Vec<Vec<String>> = reports
         .iter()
@@ -338,7 +504,7 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
 
 fn cmd_workload(opts: &Options) -> Result<(), String> {
     let (label, w) = build_workload(opts)?;
-    if let Some(path) = opts.values.get("--export") {
+    if let Some(path) = opts.value("--export") {
         let json = serde_json::to_string(&w).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("exported workload to {path}");
@@ -413,32 +579,23 @@ fn parse_faults(spec: &str, kind: FaultKind) -> Result<Vec<WorkerFault>, String>
 
 fn cmd_fleet(opts: &Options) -> Result<(), String> {
     let (label, w) = load_or_build(opts)?;
-    let policy_name = opts.str("--policy", "least-loaded");
-    let kind = RoutingKind::parse(&policy_name).map_err(|e| e.to_string())?;
-    let window = SimDuration::from_millis(opts.num("--window-ms", 200)?);
-    let scheduler = match opts.str("--scheduler", "faasbatch").as_str() {
-        "faasbatch" => WorkerScheduler::FaasBatch(FaasBatchConfig::with_window(window)),
-        "vanilla" => WorkerScheduler::Vanilla,
-        other => {
-            return Err(format!(
-                "unknown scheduler: {other} (use faasbatch|vanilla)"
-            ))
-        }
-    };
+    let kind = RoutingKind::parse(&opts.get::<String>("--policy")?).map_err(|e| e.to_string())?;
+    let window = sim_window(opts)?;
     let mut faults = Vec::new();
-    if let Some(spec) = opts.values.get("--crash") {
+    if let Some(spec) = opts.value("--crash") {
         faults.extend(parse_faults(spec, FaultKind::Crash)?);
     }
-    if let Some(spec) = opts.values.get("--drain") {
+    if let Some(spec) = opts.value("--drain") {
         faults.extend(parse_faults(spec, FaultKind::Drain)?);
     }
     let cfg = FleetConfig {
-        workers: opts.num("--workers", 4)?,
+        workers: opts.get("--workers")?,
         window,
-        scheduler,
+        scheduler: scheduler_kind(opts)?,
+        faasbatch: FaasBatchConfig::with_window(window),
         faults,
-        max_retries: opts.num("--max-retries", 3)?,
-        redispatch_delay: SimDuration::from_millis(opts.num("--redispatch-ms", 50)?),
+        max_retries: opts.get("--max-retries")?,
+        redispatch_delay: SimDuration::from_millis(opts.get("--redispatch-ms")?),
         ..FleetConfig::default()
     };
     if cfg.workers == 0 {
@@ -510,10 +667,56 @@ fn cmd_fleet(opts: &Options) -> Result<(), String> {
 }
 
 /// Folds an event stream into its attribution report.
-fn attribute_events(events: &[faasbatch::metrics::events::SimEvent]) -> AttributionReport {
+fn attribute_events(events: &[SimEvent]) -> AttributionReport {
     let mut engine = AttributionEngine::new();
     engine.consume(events);
     engine.finish()
+}
+
+/// Prints the attribution of `events`; its phases must sum exactly to
+/// every invocation's end-to-end latency.
+fn print_attribution(events: &[SimEvent]) -> Result<(), String> {
+    let report = attribute_events(events);
+    print!("{}", report.render());
+    if !report.all_exact() {
+        return Err("attribution phases do not sum to end-to-end latency".to_owned());
+    }
+    Ok(())
+}
+
+/// Replays `events` through the online auditor; a violation means the run
+/// broke a simulation invariant.
+fn audit(events: &[SimEvent]) -> Result<(), String> {
+    let mut auditor = AuditorSink::new();
+    for event in events {
+        auditor.record(event);
+    }
+    let violations = auditor.finish();
+    if !violations.is_empty() {
+        for v in violations {
+            eprintln!("auditor violation: {v}");
+        }
+        return Err(format!(
+            "the event stream violated {} invariant(s)",
+            violations.len()
+        ));
+    }
+    println!("auditor: stream is clean (0 violations)");
+    Ok(())
+}
+
+/// Writes `events` to `path` as JSONL, one event per line.
+fn write_jsonl(path: &str, events: &[SimEvent]) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    let mut jsonl = String::new();
+    for event in events {
+        jsonl.push_str(&serde_json::to_string(event).map_err(|e| e.to_string())?);
+        jsonl.push('\n');
+    }
+    std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// `faasbatch trace --analyze FILE`: offline attribution of an existing
@@ -522,66 +725,51 @@ fn attribute_events(events: &[faasbatch::metrics::events::SimEvent]) -> Attribut
 fn analyze_trace(path: &str) -> Result<(), String> {
     let events = load_events(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     println!("analyzing {} events from {path}…", events.len());
-    let report = attribute_events(&events);
-    print!("{}", report.render());
-    if !report.all_exact() {
-        return Err("attribution phases do not sum to end-to-end latency".to_owned());
-    }
-    Ok(())
+    print_attribution(&events)
 }
 
 fn cmd_trace(opts: &Options) -> Result<(), String> {
-    if let Some(path) = opts.values.get("--analyze") {
+    if let Some(path) = opts.value("--analyze") {
         return analyze_trace(path);
     }
     let (label, w) = load_or_build(opts)?;
-    let scheduler = opts.str("--scheduler", "faasbatch");
-    let window = SimDuration::from_millis(opts.num("--window-ms", 200)?);
+    let kind = scheduler_kind(opts)?;
+    let scheduler = kind.name();
+    let mut setup = SchedulerSetup::new(sim_window(opts)?);
+    setup.faasbatch.multiplex = !opts.flag("--no-multiplex");
     let cfg = SimConfig {
         snapshot: snapshot_config(opts)?,
         ..SimConfig::default()
     };
-    let sink: Box<dyn TraceSink> = Box::new(VecSink::new());
     println!(
         "tracing {} invocations ({label}) under {scheduler}…",
         w.len()
     );
-    let multiplex = !opts.flag("--no-multiplex");
-    let (report, sink) =
-        run_one_scheduler(&scheduler, &w, cfg, &label, window, multiplex, Some(sink))?;
-    let sink = sink.expect("traced run returns its sink");
+    let (report, sink) = run_one(
+        kind,
+        &w,
+        &cfg,
+        &label,
+        &setup,
+        Some(Box::new(VecSink::new())),
+    );
     let events = sink
+        .as_ref()
+        .expect("traced run returns its sink")
         .as_any()
         .downcast_ref::<VecSink>()
         .expect("the vec sink comes back from the run")
         .events();
-
-    // Replay the stream through the online auditor; a violation here means
-    // the run broke a simulation invariant.
-    let mut auditor = AuditorSink::new();
-    for event in events {
-        auditor.record(event);
-    }
-    let violations = auditor.finish().to_vec();
-
-    let out = opts.str("--out", &format!("results/trace_{scheduler}.jsonl"));
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    let mut jsonl = String::new();
-    for event in events {
-        let line = serde_json::to_string(event).map_err(|e| e.to_string())?;
-        jsonl.push_str(&line);
-        jsonl.push('\n');
-    }
-    std::fs::write(&out, jsonl).map_err(|e| format!("cannot write {out}: {e}"))?;
+    let out = opts
+        .value("--out")
+        .map_or_else(|| format!("results/trace_{scheduler}.jsonl"), str::to_owned);
+    write_jsonl(&out, events)?;
     println!(
         "wrote {} events ({} invocation records) to {out}",
         events.len(),
         report.records.len()
     );
-    if let Some(chrome_path) = opts.values.get("--chrome") {
+    if let Some(chrome_path) = opts.value("--chrome") {
         // Stream straight to the file: a full-day timeline never holds a
         // second in-memory copy of the JSON.
         let write_chrome = || -> std::io::Result<()> {
@@ -593,37 +781,20 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
         write_chrome().map_err(|e| format!("cannot write {chrome_path}: {e}"))?;
         println!("wrote Chrome about:tracing timeline to {chrome_path}");
     }
-
-    let attribution = attribute_events(events);
-    print!("{}", attribution.render());
-    if !attribution.all_exact() {
-        return Err("attribution phases do not sum to end-to-end latency".to_owned());
-    }
-
-    if violations.is_empty() {
-        println!("auditor: stream is clean (0 violations)");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("auditor violation: {v}");
-        }
-        Err(format!(
-            "the event stream violated {} invariant(s)",
-            violations.len()
-        ))
-    }
+    print_attribution(events)?;
+    audit(events)
 }
 
 /// `faasbatch trace-diff A.jsonl B.jsonl`: attribute both logs and explain
 /// the latency delta phase by phase.
-fn cmd_trace_diff(positionals: &[String], opts: &Options) -> Result<(), String> {
-    let [a_path, b_path] = positionals else {
+fn cmd_trace_diff(opts: &Options) -> Result<(), String> {
+    let [a_path, b_path] = &opts.positionals[..] else {
         return Err(format!(
             "trace-diff takes exactly two trace files, got {}",
-            positionals.len()
+            opts.positionals.len()
         ));
     };
-    let top_k: usize = opts.num("--top", 10)?;
+    let top_k: usize = opts.get("--top")?;
     let attribute = |path: &String| -> Result<AttributionReport, String> {
         let events = load_events(std::path::Path::new(path)).map_err(|e| e.to_string())?;
         let report = attribute_events(&events);
@@ -641,7 +812,7 @@ fn cmd_trace_diff(positionals: &[String], opts: &Options) -> Result<(), String> 
     let b = attribute(b_path)?;
     let diff = diff_reports(&a, &b);
     print!("{}", diff.render(a_path, b_path, top_k));
-    if let Some(json_path) = opts.values.get("--json") {
+    if let Some(json_path) = opts.value("--json") {
         let json = serde_json::to_string_pretty(&diff).map_err(|e| e.to_string())?;
         std::fs::write(json_path, json).map_err(|e| format!("cannot write {json_path}: {e}"))?;
         println!("\nwrote machine-readable diff to {json_path}");
@@ -649,49 +820,35 @@ fn cmd_trace_diff(positionals: &[String], opts: &Options) -> Result<(), String> 
     Ok(())
 }
 
-/// Runs `scheduler` over `w`, traced through `sink` when one is given.
-fn run_one_scheduler(
-    scheduler: &str,
+/// Runs one scheduler over `w` through the shared runner, traced through
+/// `sink` when one is given.
+fn run_one(
+    kind: SchedulerKind,
     w: &Workload,
-    cfg: SimConfig,
+    cfg: &SimConfig,
     label: &str,
-    window: SimDuration,
-    multiplex: bool,
-    sink: Option<Box<dyn TraceSink>>,
-) -> Result<(RunReport, Option<Box<dyn TraceSink>>), String> {
-    // An unknown name is a typed error listing every valid scheduler.
-    let kind = SchedulerKind::parse(scheduler).map_err(|e| e.to_string())?;
-    let mut setup = SchedulerSetup::new(window);
-    setup.faasbatch.multiplex = multiplex;
-    if kind == SchedulerKind::Kraken {
-        // Kraken calibrates its SLOs from a Vanilla run of the same workload.
-        let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), label, None);
-        setup = setup.with_kraken_calibration(KrakenCalibration::from_vanilla(&vanilla));
-    }
-    let (policy, interval) = kind.build(&setup);
-    Ok(match sink {
-        None => (run_simulation(policy, w, cfg, label, interval), None),
-        Some(s) => {
-            let (r, s) = run_simulation_traced(policy, w, cfg, label, interval, s);
-            (r, Some(s))
-        }
-    })
+    setup: &SchedulerSetup,
+    mut sink: Option<Box<dyn TraceSink>>,
+) -> KindRun {
+    let mut runs = run_kinds(&[kind], w, cfg, label, setup, |_| sink.take());
+    runs.pop().expect("one run per kind")
 }
 
 fn cmd_autoscale(opts: &Options) -> Result<(), String> {
     let (label, w) = load_or_build(opts)?;
-    let scheduler = opts.str("--scheduler", "faasbatch");
-    let window = SimDuration::from_millis(opts.num("--window-ms", 200)?);
-    let keep_alive = SimDuration::from_secs(opts.num("--keepalive-s", 2)?);
+    let kind = scheduler_kind(opts)?;
+    let scheduler = kind.name();
+    let setup = SchedulerSetup::new(sim_window(opts)?);
+    let keep_alive = SimDuration::from_secs(opts.get("--keepalive-s")?);
     let cfg = SimConfig {
         keep_alive,
         snapshot: snapshot_config(opts)?,
         ..SimConfig::default()
     };
     let ac = AutoscalerConfig {
-        prewarm_cap: opts.num("--prewarm-cap", 4)?,
-        keepalive_floor: SimDuration::from_secs(opts.num("--keepalive-floor-s", 2)?),
-        keepalive_ceiling: SimDuration::from_secs(opts.num("--keepalive-ceiling-s", 60)?),
+        prewarm_cap: opts.get("--prewarm-cap")?,
+        keepalive_floor: SimDuration::from_secs(opts.get("--keepalive-floor-s")?),
+        keepalive_ceiling: SimDuration::from_secs(opts.get("--keepalive-ceiling-s")?),
         base_keep_alive: keep_alive,
         snapshot_prewarm: opts.flag("--snapshot-prewarm"),
         ..AutoscalerConfig::default()
@@ -704,16 +861,15 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
          keep-alive vs controller…\n",
         w.len()
     );
-    let (static_report, _) =
-        run_one_scheduler(&scheduler, &w, cfg.clone(), &label, window, true, None)?;
-    let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
+    let (static_report, _) = run_one(kind, &w, &cfg, &label, &setup, None);
+    let sink = MultiSink::new(vec![
         Box::new(AutoscalerSink::new(ac)),
         Box::new(VecSink::new()),
-    ]));
-    let (auto_report, sink) =
-        run_one_scheduler(&scheduler, &w, cfg, &label, window, true, Some(sink))?;
-    let sink = sink.expect("traced run returns its sink");
+    ]);
+    let (auto_report, sink) = run_one(kind, &w, &cfg, &label, &setup, Some(Box::new(sink)));
     let multi = sink
+        .as_ref()
+        .expect("traced run returns its sink")
         .as_any()
         .downcast_ref::<MultiSink>()
         .expect("the multi sink comes back from the run");
@@ -772,24 +928,7 @@ fn cmd_autoscale(opts: &Options) -> Result<(), String> {
             stats.snapshot_tier_prewarms, stats.warm_tier_prewarms, auto_report.restored_starts
         );
     }
-
-    let mut auditor = AuditorSink::new();
-    for event in events {
-        auditor.record(event);
-    }
-    let violations = auditor.finish().to_vec();
-    if violations.is_empty() {
-        println!("auditor: stream is clean (0 violations)");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("auditor violation: {v}");
-        }
-        Err(format!(
-            "the event stream violated {} invariant(s)",
-            violations.len()
-        ))
-    }
+    audit(events)
 }
 
 /// Live-telemetry wiring shared by `live` and `live --gateway`:
@@ -800,23 +939,24 @@ struct LiveTelemetry {
     registry: Option<faasbatch::metrics::MetricRegistry>,
     server: Option<faasbatch::metrics::TelemetryServer>,
     flight: Option<(faasbatch::metrics::FlightRecorder, String)>,
+    /// The run's trace recorder, when `--audit`, `--out`, or the flight
+    /// ring needs the typed event stream; it mirrors into the ring.
+    recorder: Option<faasbatch::metrics::live::LiveTraceRecorder>,
     serve_ms: u64,
 }
 
 impl LiveTelemetry {
     fn from_opts(opts: &Options) -> Result<LiveTelemetry, String> {
-        let serve_ms: u64 = opts.num("--serve-ms", 0)?;
-        let capacity: usize = opts.num("--flight-capacity", 262_144)?;
-        let flight = opts.values.get("--flight-record").map(|path| {
+        let serve_ms: u64 = opts.get("--serve-ms")?;
+        let capacity: usize = opts.get("--flight-capacity")?;
+        let flight = opts.value("--flight-record").map(|path| {
             let recorder = faasbatch::metrics::FlightRecorder::new(capacity);
             recorder.install_panic_hook(std::path::PathBuf::from(path));
-            (recorder, path.clone())
+            (recorder, path.to_owned())
         });
-        let registry = opts
-            .values
-            .contains_key("--metrics-addr")
-            .then(faasbatch::metrics::MetricRegistry::default);
-        let server = match (opts.values.get("--metrics-addr"), &registry) {
+        let addr = opts.value("--metrics-addr");
+        let registry = addr.map(|_| faasbatch::metrics::MetricRegistry::default());
+        let server = match (addr, &registry) {
             (Some(addr), Some(registry)) => {
                 let server = faasbatch::metrics::TelemetryServer::bind(addr, registry.clone())
                     .map_err(|e| format!("cannot bind metrics endpoint {addr}: {e}"))?;
@@ -828,34 +968,26 @@ impl LiveTelemetry {
             }
             _ => None,
         };
-        Ok(LiveTelemetry {
-            registry,
-            server,
-            flight,
-            serve_ms,
-        })
-    }
-
-    /// Flight recording needs the typed event stream, so it forces tracing
-    /// on even without `--audit`/`--out`.
-    fn wants_trace(&self) -> bool {
-        self.flight.is_some()
-    }
-
-    /// The run's trace recorder, mirroring into the flight ring when one
-    /// was requested.
-    fn recorder(&self) -> faasbatch::metrics::live::LiveTraceRecorder {
-        match &self.flight {
+        let trace = opts.flag("--audit") || opts.value("--out").is_some() || flight.is_some();
+        let recorder = trace.then(|| match &flight {
             Some((flight, _)) => {
                 faasbatch::metrics::live::LiveTraceRecorder::with_flight(flight.clone())
             }
             None => faasbatch::metrics::live::LiveTraceRecorder::new(),
-        }
+        });
+        Ok(LiveTelemetry {
+            registry,
+            server,
+            flight,
+            recorder,
+            serve_ms,
+        })
     }
 
-    /// Post-run epilogue: hold the endpoint open for `--serve-ms`, then
-    /// write the flight ring's post-mortem and shut the server down.
-    fn finish(self) -> Result<(), String> {
+    /// Post-run epilogue: hold the endpoint open for `--serve-ms`, write the
+    /// flight ring's post-mortem, shut the server down, then export and
+    /// audit the recorded stream.
+    fn finish(self, opts: &Options) -> Result<(), String> {
         if self.serve_ms > 0 && self.server.is_some() {
             println!(
                 "holding the metrics endpoint open for {} ms…",
@@ -872,7 +1004,11 @@ impl LiveTelemetry {
                 flight.dropped()
             );
         }
-        Ok(())
+        drop(self.server);
+        match self.recorder {
+            Some(recorder) => audit_and_export(recorder, opts),
+            None => Ok(()),
+        }
     }
 }
 
@@ -893,7 +1029,7 @@ fn cumulative_quantile(buckets: &[(u64, u64)], count: u64, q: f64) -> u64 {
 
 /// `faasbatch top`: one-shot snapshot of a running live endpoint.
 fn cmd_top(opts: &Options) -> Result<(), String> {
-    let addr = opts.str("--addr", "127.0.0.1:9100");
+    let addr: String = opts.get("--addr")?;
     let body = faasbatch::metrics::telemetry::http_get(addr.as_str(), "/json")
         .map_err(|e| format!("cannot scrape {addr}: {e}"))?;
     print!("{}", render_top(&body)?);
@@ -1021,7 +1157,32 @@ fn quantile_sorted(sorted: &[std::time::Duration], q: f64) -> std::time::Duratio
     sorted[rank - 1]
 }
 
-/// `faasbatch live`: a synthetic burst against the real platform.
+/// Waits for every ticket; returns the sorted latencies and the number of
+/// invocations that panicked.
+fn wait_all(
+    tickets: Vec<faasbatch::core::platform::InvokeTicket>,
+) -> (Vec<std::time::Duration>, usize) {
+    let mut latencies = Vec::with_capacity(tickets.len());
+    let mut panicked = 0usize;
+    for t in tickets {
+        let outcome = t.wait();
+        panicked += usize::from(outcome.panicked);
+        latencies.push(outcome.total());
+    }
+    latencies.sort_unstable();
+    (latencies, panicked)
+}
+
+fn print_latencies(sorted: &[std::time::Duration]) {
+    println!(
+        "latency: p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
+        quantile_sorted(sorted, 0.50),
+        quantile_sorted(sorted, 0.95),
+        quantile_sorted(sorted, 0.99),
+        sorted.last().copied().unwrap_or_default(),
+    );
+}
+
 /// Exports (`--out`) and audits (`--audit`) a recorded live event stream —
 /// shared tail of `live` and `live --gateway`.
 fn audit_and_export(
@@ -1029,63 +1190,31 @@ fn audit_and_export(
     opts: &Options,
 ) -> Result<(), String> {
     let events = recorder.take_trace();
-    if let Some(out) = opts.values.get("--out") {
-        if let Some(dir) = std::path::Path::new(out).parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-        let mut jsonl = String::new();
-        for event in &events {
-            jsonl.push_str(&serde_json::to_string(event).map_err(|e| e.to_string())?);
-            jsonl.push('\n');
-        }
-        std::fs::write(out, jsonl).map_err(|e| format!("cannot write {out}: {e}"))?;
+    if let Some(out) = opts.value("--out") {
+        write_jsonl(out, &events)?;
         println!("wrote {} events to {out}", events.len());
     }
-    let mut auditor = AuditorSink::new();
-    for event in &events {
-        auditor.record(event);
-    }
-    let violations = auditor.finish().to_vec();
-    let attribution = attribute_events(&events);
-    print!("{}", attribution.render());
-    if !attribution.all_exact() {
-        return Err("attribution phases do not sum to end-to-end latency".to_owned());
-    }
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("auditor violation: {v}");
-        }
-        return Err(format!(
-            "the event stream violated {} invariant(s)",
-            violations.len()
-        ));
-    }
-    println!("auditor: stream is clean (0 violations)");
-    Ok(())
+    print_attribution(&events)?;
+    audit(&events)
 }
 
 fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
     use faasbatch::gateway::{Gateway, GatewayError};
 
-    let jobs: usize = opts.num("--jobs", 20_000)?;
-    let batch_size: usize = opts.num("--batch-size", 100)?;
-    let workers: usize = opts.num("--workers", 8)?;
-    let shards: usize = opts.num("--shards", 4)?;
-    let shard_depth: usize = opts.num("--shard-depth", 65_536)?;
-    let window = std::time::Duration::from_millis(opts.num("--window-ms", 25)?);
-    let cold = std::time::Duration::from_millis(opts.num("--cold-ms", 2)?);
-    let work = std::time::Duration::from_micros(opts.num("--work-us", 250)?);
-    let policy =
-        RoutingKind::parse(&opts.str("--policy", "least-loaded")).map_err(|e| e.to_string())?;
+    let jobs: usize = opts.get("--jobs")?;
+    let batch_size: usize = opts.get("--batch-size")?;
+    let workers: usize = opts.get("--workers")?;
+    let shards: usize = opts.get("--shards")?;
+    let shard_depth: usize = opts.get("--shard-depth")?;
+    let window = std::time::Duration::from_millis(opts.get("--window-ms")?);
+    let cold = std::time::Duration::from_millis(opts.get("--cold-ms")?);
+    let work = std::time::Duration::from_micros(opts.get("--work-us")?);
+    let policy = RoutingKind::parse(&opts.get::<String>("--policy")?).map_err(|e| e.to_string())?;
     if jobs == 0 || batch_size == 0 {
         return Err("--jobs and --batch-size must be at least 1".to_owned());
     }
     let functions = jobs.div_ceil(batch_size);
     let telemetry = LiveTelemetry::from_opts(opts)?;
-    let trace =
-        opts.flag("--audit") || opts.values.contains_key("--out") || telemetry.wants_trace();
-    let recorder = trace.then(|| telemetry.recorder());
 
     let mut builder = Gateway::builder()
         .workers(workers)
@@ -1094,7 +1223,7 @@ fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
         .window(window)
         .cold_start_delay(cold)
         .policy(policy);
-    if let Some(rec) = &recorder {
+    if let Some(rec) = &telemetry.recorder {
         builder = builder.trace(rec.clone());
     }
     if let Some(registry) = &telemetry.registry {
@@ -1125,19 +1254,10 @@ fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
             Err(e) => return Err(e.to_string()),
         }
     }
-    let mut latencies: Vec<std::time::Duration> = Vec::with_capacity(tickets.len());
-    let mut panicked = 0usize;
-    for t in tickets {
-        let outcome = t.wait();
-        if outcome.panicked {
-            panicked += 1;
-        }
-        latencies.push(outcome.total());
-    }
+    let (latencies, panicked) = wait_all(tickets);
     gateway.drain().map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
 
-    latencies.sort_unstable();
     let completed = latencies.len();
     println!(
         "done in {elapsed:.2?}: {:.0} invocations/s | completed {completed} | \
@@ -1145,13 +1265,7 @@ fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
         completed as f64 / elapsed.as_secs_f64(),
         gateway.peak_in_flight(),
     );
-    println!(
-        "latency: p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
-        quantile_sorted(&latencies, 0.50),
-        quantile_sorted(&latencies, 0.95),
-        quantile_sorted(&latencies, 0.99),
-        latencies.last().copied().unwrap_or_default(),
-    );
+    print_latencies(&latencies);
     for (shard, s) in gateway.stats().shards.iter().enumerate() {
         println!(
             "shard {shard}: enqueued {} | admitted {} | rejected {} | groups {}",
@@ -1160,11 +1274,7 @@ fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
     }
 
     drop(gateway);
-    telemetry.finish()?;
-    match recorder {
-        Some(recorder) => audit_and_export(recorder, opts),
-        None => Ok(()),
-    }
+    telemetry.finish(opts)
 }
 
 fn cmd_live(opts: &Options) -> Result<(), String> {
@@ -1172,20 +1282,16 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
     use faasbatch::core::platform::PlatformBuilder;
     use faasbatch::exec::{Executor, ExecutorConfig};
 
-    if opts.flag("--gateway") {
-        return cmd_live_gateway(opts);
-    }
-
-    let jobs: usize = opts.num("--jobs", 2000)?;
-    let batch_size: usize = opts.num("--batch-size", 100)?;
-    let workers: usize = opts.num("--workers", 0)?;
-    let seed: u64 = opts.num("--seed", 2023)?;
-    let window = std::time::Duration::from_millis(opts.num("--window-ms", 25)?);
-    let cold = std::time::Duration::from_millis(opts.num("--cold-ms", 2)?);
-    let work = std::time::Duration::from_micros(opts.num("--work-us", 250)?);
-    let snapshots: usize = opts.num("--snapshots", 0)?;
-    let restore = std::time::Duration::from_millis(opts.num("--restore-ms", 1)?);
-    let backend = match opts.str("--backend", "executor").as_str() {
+    let jobs: usize = opts.get("--jobs")?;
+    let batch_size: usize = opts.get("--batch-size")?;
+    let workers: usize = opts.get("--workers")?;
+    let seed: u64 = opts.get("--seed")?;
+    let window = std::time::Duration::from_millis(opts.get("--window-ms")?);
+    let cold = std::time::Duration::from_millis(opts.get("--cold-ms")?);
+    let work = std::time::Duration::from_micros(opts.get("--work-us")?);
+    let snapshots: usize = opts.get("--snapshots")?;
+    let restore = std::time::Duration::from_millis(opts.get("--restore-ms")?);
+    let backend = match opts.get::<String>("--backend")?.as_str() {
         "executor" => LiveBackend::Executor,
         "thread-per-job" => LiveBackend::ThreadPerJob,
         other => {
@@ -1199,8 +1305,6 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
     }
     let functions = jobs.div_ceil(batch_size);
     let telemetry = LiveTelemetry::from_opts(opts)?;
-    let trace =
-        opts.flag("--audit") || opts.values.contains_key("--out") || telemetry.wants_trace();
 
     let mut exec_config = ExecutorConfig {
         seed,
@@ -1210,7 +1314,6 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
         exec_config.workers = workers;
     }
     let executor = Executor::new(exec_config);
-    let recorder = trace.then(|| telemetry.recorder());
     let mut builder = PlatformBuilder::new()
         .window(window)
         .cold_start_delay(cold)
@@ -1218,7 +1321,7 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
         .restore_delay(restore)
         .backend(backend)
         .executor(std::sync::Arc::clone(&executor));
-    if let Some(rec) = &recorder {
+    if let Some(rec) = &telemetry.recorder {
         builder = builder.trace(rec.clone());
     }
     if let Some(registry) = &telemetry.registry {
@@ -1247,19 +1350,10 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
                 .expect("registered")
         })
         .collect();
-    let mut latencies: Vec<std::time::Duration> = Vec::with_capacity(jobs);
-    let mut panicked = 0usize;
-    for t in tickets {
-        let outcome = t.wait();
-        if outcome.panicked {
-            panicked += 1;
-        }
-        latencies.push(outcome.total());
-    }
+    let (latencies, panicked) = wait_all(tickets);
     platform.drain().map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
 
-    latencies.sort_unstable();
     let stats = platform.stats();
     println!(
         "done in {elapsed:.2?}: {:.0} invocations/s | containers {} | restored {} | batches {} | panicked {panicked}",
@@ -1268,13 +1362,7 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
         stats.containers_restored.load(std::sync::atomic::Ordering::Relaxed),
         stats.batches.load(std::sync::atomic::Ordering::Relaxed),
     );
-    println!(
-        "latency: p50 {:.2?} | p95 {:.2?} | p99 {:.2?} | max {:.2?}",
-        quantile_sorted(&latencies, 0.50),
-        quantile_sorted(&latencies, 0.95),
-        quantile_sorted(&latencies, 0.99),
-        latencies.last().copied().unwrap_or_default(),
-    );
+    print_latencies(&latencies);
     let metrics = executor.metrics();
     if backend == LiveBackend::Executor {
         println!(
@@ -1287,45 +1375,29 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
     }
 
     drop(platform);
-    telemetry.finish()?;
-    match recorder {
-        Some(recorder) => audit_and_export(recorder, opts),
-        None => Ok(()),
-    }
+    telemetry.finish(opts)
 }
 
-fn cmd_figures() {
+fn cmd_help(_: &Options) -> Result<(), String> {
+    println!("{}", usage());
+    Ok(())
+}
+
+fn cmd_figures(_: &Options) -> Result<(), String> {
     println!(
         "Figure harnesses (run with `cargo run --release -p faasbatch-bench --bin <name>`):\n"
     );
-    for (name, what) in [
+    #[rustfmt::skip]
+    let figures = [
         ("headline_summary", "abstract/§V reduction table"),
-        (
-            "six_schedulers",
-            "six-way comparison: +Hiku, +core-late-bind",
-        ),
-        (
-            "headline_attribution",
-            "six-way phase attribution + trace diff",
-        ),
+        ("six_schedulers", "six-way comparison: +Hiku, +core-late-bind"),
+        ("headline_attribution", "six-way phase attribution + trace diff"),
         ("fig01_sharing_vs_monopoly", "Fig. 1 — sharing vs monopoly"),
-        (
-            "fig02_invocation_patterns",
-            "Fig. 2 — hot-function day patterns",
-        ),
+        ("fig02_invocation_patterns", "Fig. 2 — hot-function day patterns"),
         ("fig03_blob_iat_cdf", "Fig. 3 — blob inter-access-time CDF"),
-        (
-            "fig04_client_creation_latency",
-            "Fig. 4 — client creation time",
-        ),
-        (
-            "fig05_client_creation_memory",
-            "Fig. 5 — client creation memory",
-        ),
-        (
-            "fig09_duration_distribution",
-            "Fig. 9 — duration distribution",
-        ),
+        ("fig04_client_creation_latency", "Fig. 4 — client creation time"),
+        ("fig05_client_creation_memory", "Fig. 5 — client creation memory"),
+        ("fig09_duration_distribution", "Fig. 9 — duration distribution"),
         ("fig10_workload_pattern", "Fig. 10 — arrival pattern"),
         ("fig11_cpu_latency", "Fig. 11 — CPU latency CDFs"),
         ("fig12_io_latency", "Fig. 12 — I/O latency CDFs"),
@@ -1337,13 +1409,12 @@ fn cmd_figures() {
         ("ablation_keepalive", "keep-alive TTL sensitivity"),
         ("ablation_early_return", "batch vs early-return responses"),
         ("ablation_kraken_prediction", "Kraken lazy/oracle/EWMA"),
-        (
-            "fleet_scaling",
-            "multi-worker fleet: workers × routing policies",
-        ),
-    ] {
+        ("fleet_scaling", "multi-worker fleet: workers × routing policies"),
+    ];
+    for (name, what) in figures {
         println!("  {name:<30} {what}");
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -1355,32 +1426,27 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
     };
-    let result = match command {
-        "compare" => Options::parse(rest).and_then(|o| cmd_compare(&o)),
-        "workload" => Options::parse(rest).and_then(|o| cmd_workload(&o)),
-        "fleet" => Options::parse(rest).and_then(|o| cmd_fleet(&o)),
-        "trace" => Options::parse(rest).and_then(|o| cmd_trace(&o)),
-        "trace-diff" => {
-            let (positionals, options) = split_positionals(rest);
-            Options::parse(&options).and_then(|o| cmd_trace_diff(&positionals, &o))
-        }
-        "autoscale" => Options::parse(rest).and_then(|o| cmd_autoscale(&o)),
-        "live" => Options::parse(rest).and_then(|o| cmd_live(&o)),
-        "top" => Options::parse(rest).and_then(|o| cmd_top(&o)),
-        "figures" => {
-            cmd_figures();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command: {other}")),
+    let name = match command {
+        "--help" | "-h" => "help",
+        "live" if rest.iter().any(|a| a == "--gateway") => "live --gateway",
+        other => other,
+    };
+    let cmd = COMMANDS.iter().find(|c| c.name == name);
+    let result = match cmd {
+        Some(cmd) => Options::parse(cmd, rest).and_then(|opts| (cmd.run)(&opts)),
+        None => Err(format!("unknown command: {command}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}\n\n{}", usage());
+            // A known command shows its own usage; anything else the whole text.
+            let help = cmd.map_or_else(usage, |cmd| {
+                format!(
+                    "{}\n(`faasbatch help` lists every command and value)",
+                    command_usage(cmd)
+                )
+            });
+            eprintln!("error: {msg}\n\n{help}");
             ExitCode::FAILURE
         }
     }
@@ -1390,17 +1456,25 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn parse(name: &str, args: &[&str]) -> Result<Options, String> {
+        let command = COMMANDS.iter().find(|c| c.name == name).expect("a command");
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Options::parse(command, &args)
+    }
+
+    /// `compare`'s options: every workload, replay, and snapshot flag.
     fn opts(args: &[&str]) -> Result<Options, String> {
-        Options::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        parse("compare", args)
     }
 
     #[test]
     fn parses_key_values_and_flags() {
         let o = opts(&["--seed", "7", "--no-multiplex", "--workload", "io"]).unwrap();
-        assert_eq!(o.num::<u64>("--seed", 0).unwrap(), 7);
+        assert_eq!(o.get::<u64>("--seed").unwrap(), 7);
         assert!(o.flag("--no-multiplex"));
-        assert_eq!(o.str("--workload", "cpu"), "io");
-        assert_eq!(o.num::<u64>("--total", 42).unwrap(), 42);
+        assert_eq!(o.value("--workload"), Some("io"));
+        assert_eq!(o.opt::<u64>("--total").unwrap(), None);
+        assert_eq!(o.get::<u64>("--window-ms").unwrap(), 200, "table default");
     }
 
     #[test]
@@ -1408,7 +1482,73 @@ mod tests {
         assert!(opts(&["positional"]).is_err());
         assert!(opts(&["--seed"]).is_err());
         let o = opts(&["--seed", "abc"]).unwrap();
-        assert!(o.num::<u64>("--seed", 0).is_err());
+        assert!(o.get::<u64>("--seed").is_err());
+        // A misspelled flag is an error naming the flag and the subcommand.
+        for args in [&["--snapshot-capp", "8"][..], &["--windw-ms", "50"]] {
+            let err = opts(args).err().expect("a misspelled flag is an error");
+            assert!(
+                err.contains(args[0]) && err.contains("faasbatch compare"),
+                "{err}"
+            );
+        }
+        // A flag of one `live` mode is unknown to the other.
+        assert!(parse("live --gateway", &["--gateway", "--backend", "executor"]).is_err());
+        assert!(parse("live", &["--shards", "2"]).is_err());
+        // A zero dispatch window is an input error on every simulation command.
+        for name in ["compare", "trace", "autoscale", "fleet"] {
+            let err = sim_window(&parse(name, &["--window-ms", "0"]).unwrap()).unwrap_err();
+            assert!(err.contains("--window-ms"), "{name}: {err}");
+            let o = parse(name, &["--window-ms", "1"]).unwrap();
+            assert_eq!(sim_window(&o), Ok(SimDuration::from_millis(1)));
+        }
+    }
+
+    /// Every table default, as the hand-written parser used them.
+    #[rustfmt::skip]
+    const DEFAULTS: &[(&str, &[(&str, &str)])] = &[
+        ("+workload", &[("--workload", "cpu"), ("--seed", "2023"), ("--functions", "8"),
+            ("--heterogeneity", "0.0")]),
+        ("+replay", &[("--window-ms", "200")]),
+        ("+snapshot", &[("--snapshot-cap", "0"), ("--snapshot-eviction", "lru")]),
+        ("+live", &[("--batch-size", "100"), ("--window-ms", "25"), ("--cold-ms", "2"),
+            ("--work-us", "250"), ("--serve-ms", "0"), ("--flight-capacity", "262144")]),
+        ("fleet", &[("--workers", "4"), ("--policy", "least-loaded"), ("--scheduler", "faasbatch"),
+            ("--max-retries", "3"), ("--redispatch-ms", "50")]),
+        ("trace", &[("--scheduler", "faasbatch")]),
+        ("trace-diff", &[("--top", "10")]),
+        ("autoscale", &[("--scheduler", "faasbatch"), ("--keepalive-s", "2"),
+            ("--prewarm-cap", "4"), ("--keepalive-floor-s", "2"), ("--keepalive-ceiling-s", "60")]),
+        ("live", &[("--jobs", "2000"), ("--workers", "0"), ("--seed", "2023"),
+            ("--backend", "executor"), ("--snapshots", "0"), ("--restore-ms", "1")]),
+        ("live --gateway", &[("--jobs", "20000"), ("--workers", "8"), ("--shards", "4"),
+            ("--shard-depth", "65536"), ("--policy", "least-loaded")]),
+        ("top", &[("--addr", "127.0.0.1:9100")]),
+    ];
+
+    #[test]
+    fn table_defaults_match_the_documented_defaults() {
+        for cmd in &COMMANDS {
+            let shared: &[&str] = match cmd.name {
+                "compare" | "trace" | "autoscale" => &["+workload", "+replay", "+snapshot"],
+                "fleet" => &["+workload", "+replay"],
+                "workload" => &["+workload"],
+                "live" | "live --gateway" => &["+live"],
+                _ => &[],
+            };
+            let groups = DEFAULTS
+                .iter()
+                .filter(|g| g.0 == cmd.name || shared.contains(&g.0));
+            let mut expected: Vec<_> = groups.flat_map(|g| g.1.iter().copied()).collect();
+            let mut actual: Vec<_> = cmd
+                .flags()
+                .filter_map(|f| Some((f.name, f.default?)))
+                .collect();
+            expected.sort_unstable();
+            actual.sort_unstable();
+            assert_eq!(actual, expected, "{}", cmd.name);
+        }
+        assert_eq!(EvictionPolicy::default().name(), "lru");
+        assert_eq!(WORKLOAD_KINDS, [("cpu", 800, 60, 6), ("io", 400, 30, 4)]);
     }
 
     #[test]
@@ -1431,15 +1571,13 @@ mod tests {
 
     #[test]
     fn split_positionals_separates_paths_from_options() {
-        let args: Vec<String> = ["a.jsonl", "--top", "5", "b.jsonl", "--no-multiplex"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (positionals, options) = split_positionals(&args);
-        assert_eq!(positionals, vec!["a.jsonl", "b.jsonl"]);
-        assert_eq!(options, vec!["--top", "5", "--no-multiplex"]);
-        let o = Options::parse(&options).unwrap();
-        assert_eq!(o.num::<usize>("--top", 10).unwrap(), 5);
+        let args = ["a.jsonl", "--top", "5", "b.jsonl", "--json", "d.json"];
+        let o = parse("trace-diff", &args).unwrap();
+        assert_eq!(o.positionals, vec!["a.jsonl", "b.jsonl"]);
+        assert_eq!(o.get::<usize>("--top").unwrap(), 5);
+        assert_eq!(o.value("--json"), Some("d.json"));
+        // Commands without positionals reject them.
+        assert!(opts(&["a.jsonl"]).is_err());
     }
 
     #[test]
@@ -1501,6 +1639,17 @@ mod tests {
             );
         }
         assert!(text.contains(&SchedulerKind::ALL.len().to_string()));
+        for cmd in &COMMANDS {
+            assert!(text.contains(&command_usage(cmd)), "{}", cmd.name);
+            for f in cmd.flags() {
+                assert!(
+                    command_usage(cmd).contains(f.name),
+                    "{}: {}",
+                    cmd.name,
+                    f.name
+                );
+            }
+        }
     }
 
     #[test]
@@ -1509,15 +1658,15 @@ mod tests {
         let cfg = snapshot_config(&o).unwrap();
         assert_eq!(cfg.capacity, 8);
         assert_eq!(cfg.eviction, EvictionPolicy::CostAware);
-        assert!(snapshot_config(&Options::default()).unwrap().capacity == 0);
+        assert!(snapshot_config(&opts(&[]).unwrap()).unwrap().capacity == 0);
         let bad = opts(&["--snapshot-eviction", "fifo"]).unwrap();
         assert!(snapshot_config(&bad).is_err());
     }
 
     #[test]
     fn trace_diff_requires_two_paths() {
-        let err = cmd_trace_diff(&["only-one.jsonl".to_owned()], &Options::default())
-            .expect_err("one path must be rejected");
+        let o = parse("trace-diff", &["only-one.jsonl"]).unwrap();
+        let err = cmd_trace_diff(&o).expect_err("one path must be rejected");
         assert!(err.contains("exactly two"));
     }
 }

@@ -2,21 +2,17 @@
 //! a no-op controller never perturbs the run, the pre-warm budget respects
 //! its cap, and keep-alive honours the floor while work is queued.
 
-use faasbatch::core::policy::{run_faasbatch, run_faasbatch_traced, FaasBatchConfig};
+use faasbatch::core::scheduler_kind::{run_kinds, KindRun, SchedulerKind, SchedulerSetup};
 use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink, ScaleAction};
 use faasbatch::metrics::events::{MultiSink, SimEvent, TraceSink, VecSink};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
-use faasbatch::schedulers::sfs::Sfs;
-use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
 use proptest::prelude::*;
 
-const SCHEDULERS: [&str; 4] = ["vanilla", "sfs", "kraken", "faasbatch"];
+const SCHEDULERS: [SchedulerKind; 4] = SchedulerKind::PAPER_FOUR;
 const WINDOW: SimDuration = SimDuration::from_millis(200);
 
 fn wl(seed: u64, io: bool) -> Workload {
@@ -54,33 +50,29 @@ fn active_cfg() -> AutoscalerConfig {
     }
 }
 
+/// Runs `kind` over `w` through the shared runner (which calibrates Kraken
+/// from a Vanilla run), traced through `sink` when one is given.
+fn run(
+    kind: SchedulerKind,
+    w: &Workload,
+    cfg: &SimConfig,
+    sink: Option<Box<dyn TraceSink>>,
+) -> KindRun {
+    let mut sink = sink;
+    let setup = SchedulerSetup::new(WINDOW);
+    let mut runs = run_kinds(&[kind], w, cfg, "t", &setup, |_| sink.take());
+    runs.pop().expect("one run per kind")
+}
+
 /// Runs `scheduler` over `w` untraced.
-fn run_plain(scheduler: &str, w: &Workload, cfg: &SimConfig) -> RunReport {
-    match scheduler {
-        "vanilla" => run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "t", None),
-        "sfs" => run_simulation(Box::new(Sfs::new()), w, cfg.clone(), "t", None),
-        "kraken" => {
-            let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "t", None);
-            run_simulation(
-                Box::new(Kraken::new(
-                    KrakenCalibration::from_vanilla(&vanilla),
-                    WINDOW,
-                )),
-                w,
-                cfg.clone(),
-                "t",
-                Some(WINDOW),
-            )
-        }
-        "faasbatch" => run_faasbatch(w, cfg.clone(), FaasBatchConfig::default(), "t"),
-        other => panic!("unknown scheduler {other}"),
-    }
+fn run_plain(scheduler: SchedulerKind, w: &Workload, cfg: &SimConfig) -> RunReport {
+    run(scheduler, w, cfg, None).0
 }
 
 /// Runs `scheduler` over `w` with a controller plus an event capture, and
 /// returns (report, controller actions, captured events).
 fn run_autoscaled(
-    scheduler: &str,
+    scheduler: SchedulerKind,
     w: &Workload,
     cfg: &SimConfig,
     ac: &AutoscalerConfig,
@@ -89,28 +81,8 @@ fn run_autoscaled(
         Box::new(AutoscalerSink::new(ac.clone())),
         Box::new(VecSink::new()),
     ]));
-    let (report, sink) = match scheduler {
-        "vanilla" => {
-            run_simulation_traced(Box::new(Vanilla::new()), w, cfg.clone(), "t", None, sink)
-        }
-        "sfs" => run_simulation_traced(Box::new(Sfs::new()), w, cfg.clone(), "t", None, sink),
-        "kraken" => {
-            let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "t", None);
-            run_simulation_traced(
-                Box::new(Kraken::new(
-                    KrakenCalibration::from_vanilla(&vanilla),
-                    WINDOW,
-                )),
-                w,
-                cfg.clone(),
-                "t",
-                Some(WINDOW),
-                sink,
-            )
-        }
-        "faasbatch" => run_faasbatch_traced(w, cfg.clone(), FaasBatchConfig::default(), "t", sink),
-        other => panic!("unknown scheduler {other}"),
-    };
+    let (report, sink) = run(scheduler, w, cfg, Some(sink));
+    let sink = sink.expect("traced run returns its sink");
     let multi = sink
         .as_any()
         .downcast_ref::<MultiSink>()
@@ -151,7 +123,7 @@ proptest! {
         prop_assert!(actions.is_empty(), "no-op controller acted: {actions:?}");
         prop_assert_eq!(
             plain, auto_report,
-            "{} perturbed by a no-op controller", SCHEDULERS[scheduler]
+            "{} perturbed by a no-op controller", SCHEDULERS[scheduler].name()
         );
     }
 
@@ -233,39 +205,9 @@ fn max_outstanding_watermark_respects_cap() {
             ..active_cfg()
         };
         for scheduler in SCHEDULERS {
-            let sink: Box<dyn TraceSink> = Box::new(AutoscalerSink::new(ac.clone()));
-            let (_, sink) = match scheduler {
-                "vanilla" => run_simulation_traced(
-                    Box::new(Vanilla::new()),
-                    &w,
-                    cfg.clone(),
-                    "t",
-                    None,
-                    sink,
-                ),
-                "sfs" => {
-                    run_simulation_traced(Box::new(Sfs::new()), &w, cfg.clone(), "t", None, sink)
-                }
-                "kraken" => {
-                    let vanilla =
-                        run_simulation(Box::new(Vanilla::new()), &w, cfg.clone(), "t", None);
-                    run_simulation_traced(
-                        Box::new(Kraken::new(
-                            KrakenCalibration::from_vanilla(&vanilla),
-                            WINDOW,
-                        )),
-                        &w,
-                        cfg.clone(),
-                        "t",
-                        Some(WINDOW),
-                        sink,
-                    )
-                }
-                "faasbatch" => {
-                    run_faasbatch_traced(&w, cfg.clone(), FaasBatchConfig::default(), "t", sink)
-                }
-                other => panic!("unknown scheduler {other}"),
-            };
+            let sink = Box::new(AutoscalerSink::new(ac.clone()));
+            let (_, sink) = run(scheduler, &w, &cfg, Some(sink));
+            let sink = sink.expect("traced run returns its sink");
             let stats = sink
                 .as_any()
                 .downcast_ref::<AutoscalerSink>()
@@ -273,7 +215,8 @@ fn max_outstanding_watermark_respects_cap() {
                 .stats();
             assert!(
                 stats.max_outstanding_prewarm <= cap,
-                "{scheduler}: watermark {} exceeded cap {cap}",
+                "{}: watermark {} exceeded cap {cap}",
+                scheduler.name(),
                 stats.max_outstanding_prewarm
             );
         }
@@ -290,8 +233,9 @@ fn controller_actions_are_deterministic() {
     for scheduler in SCHEDULERS {
         let (ra, aa, ea) = run_autoscaled(scheduler, &w, &cfg, &ac);
         let (rb, ab, eb) = run_autoscaled(scheduler, &w, &cfg, &ac);
-        assert_eq!(ra, rb, "{scheduler} report diverged");
-        assert_eq!(aa, ab, "{scheduler} actions diverged");
-        assert_eq!(ea, eb, "{scheduler} event stream diverged");
+        let name = scheduler.name();
+        assert_eq!(ra, rb, "{name} report diverged");
+        assert_eq!(aa, ab, "{name} actions diverged");
+        assert_eq!(ea, eb, "{name} event stream diverged");
     }
 }

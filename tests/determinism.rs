@@ -1,15 +1,12 @@
 //! Determinism guarantees: a run is a pure function of (seed, config).
 //! Bit-identical reports make every figure in EXPERIMENTS.md reproducible.
 
-use faasbatch::core::policy::{run_faasbatch, run_faasbatch_traced, FaasBatchConfig};
+use faasbatch::core::policy::{run_faasbatch_traced, FaasBatchConfig};
+use faasbatch::core::scheduler_kind::{run_kinds, KindRun, SchedulerKind, SchedulerSetup};
 use faasbatch::metrics::autoscaler::{AutoscalerConfig, AutoscalerSink};
 use faasbatch::metrics::events::{MultiSink, SimEvent, TraceSink, VecSink};
 use faasbatch::metrics::report::RunReport;
 use faasbatch::schedulers::config::SimConfig;
-use faasbatch::schedulers::harness::{run_simulation, run_simulation_traced};
-use faasbatch::schedulers::kraken::{Kraken, KrakenCalibration};
-use faasbatch::schedulers::sfs::Sfs;
-use faasbatch::schedulers::vanilla::Vanilla;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
@@ -27,28 +24,22 @@ fn wl(seed: u64) -> Workload {
     )
 }
 
-fn run_scheduler(name: &str, w: &Workload) -> RunReport {
-    let cfg = SimConfig::default();
-    let window = SimDuration::from_millis(200);
-    match name {
-        "vanilla" => run_simulation(Box::new(Vanilla::new()), w, cfg, "cpu", None),
-        "sfs" => run_simulation(Box::new(Sfs::new()), w, cfg, "cpu", None),
-        "kraken" => {
-            let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "cpu", None);
-            run_simulation(
-                Box::new(Kraken::new(
-                    KrakenCalibration::from_vanilla(&vanilla),
-                    window,
-                )),
-                w,
-                cfg,
-                "cpu",
-                Some(window),
-            )
-        }
-        "faasbatch" => run_faasbatch(w, cfg, FaasBatchConfig::default(), "cpu"),
-        other => panic!("unknown scheduler {other}"),
-    }
+/// Runs `kind` over `w` through the shared runner (which calibrates Kraken
+/// from a Vanilla run), traced through `sink` when one is given.
+fn run(
+    kind: SchedulerKind,
+    w: &Workload,
+    cfg: &SimConfig,
+    sink: Option<Box<dyn TraceSink>>,
+) -> KindRun {
+    let mut sink = sink;
+    let setup = SchedulerSetup::new(SimDuration::from_millis(200));
+    let mut runs = run_kinds(&[kind], w, cfg, "cpu", &setup, |_| sink.take());
+    runs.pop().expect("one run per kind")
+}
+
+fn run_scheduler(kind: SchedulerKind, w: &Workload) -> RunReport {
+    run(kind, w, &SimConfig::default(), None).0
 }
 
 #[test]
@@ -63,17 +54,17 @@ fn workload_generation_is_deterministic() {
 #[test]
 fn every_scheduler_is_bit_reproducible() {
     let w = wl(77);
-    for name in ["vanilla", "sfs", "kraken", "faasbatch"] {
-        let a = run_scheduler(name, &w);
-        let b = run_scheduler(name, &w);
-        assert_eq!(a, b, "{name} run not reproducible");
+    for kind in SchedulerKind::ALL {
+        let a = run_scheduler(kind, &w);
+        let b = run_scheduler(kind, &w);
+        assert_eq!(a, b, "{} run not reproducible", kind.name());
     }
 }
 
 #[test]
 fn reports_roundtrip_through_json() {
     let w = wl(3);
-    let report = run_scheduler("faasbatch", &w);
+    let report = run_scheduler(SchedulerKind::FaasBatch, &w);
     let json = serde_json::to_string(&report).expect("serializes");
     let back: RunReport = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(report, back);
@@ -81,15 +72,15 @@ fn reports_roundtrip_through_json() {
 
 #[test]
 fn different_seeds_give_different_results() {
-    let a = run_scheduler("vanilla", &wl(1));
-    let b = run_scheduler("vanilla", &wl(2));
+    let a = run_scheduler(SchedulerKind::Vanilla, &wl(1));
+    let b = run_scheduler(SchedulerKind::Vanilla, &wl(2));
     assert_ne!(a.records, b.records);
 }
 
 /// Runs `name` with the autoscaling controller attached and returns the
 /// report plus the serialized JSONL event log.
 fn run_scheduler_autoscaled(
-    name: &str,
+    kind: SchedulerKind,
     w: &Workload,
     ac: &AutoscalerConfig,
 ) -> (RunReport, String) {
@@ -97,31 +88,12 @@ fn run_scheduler_autoscaled(
         keep_alive: SimDuration::from_secs(2),
         ..SimConfig::default()
     };
-    let window = SimDuration::from_millis(200);
     let sink: Box<dyn TraceSink> = Box::new(MultiSink::new(vec![
         Box::new(AutoscalerSink::new(ac.clone())),
         Box::new(VecSink::new()),
     ]));
-    let (report, sink) = match name {
-        "vanilla" => run_simulation_traced(Box::new(Vanilla::new()), w, cfg, "cpu", None, sink),
-        "sfs" => run_simulation_traced(Box::new(Sfs::new()), w, cfg, "cpu", None, sink),
-        "kraken" => {
-            let vanilla = run_simulation(Box::new(Vanilla::new()), w, cfg.clone(), "cpu", None);
-            run_simulation_traced(
-                Box::new(Kraken::new(
-                    KrakenCalibration::from_vanilla(&vanilla),
-                    window,
-                )),
-                w,
-                cfg,
-                "cpu",
-                Some(window),
-                sink,
-            )
-        }
-        "faasbatch" => run_faasbatch_traced(w, cfg, FaasBatchConfig::default(), "cpu", sink),
-        other => panic!("unknown scheduler {other}"),
-    };
+    let (report, sink) = run(kind, w, &cfg, Some(sink));
+    let sink = sink.expect("traced run returns its sink");
     let events: &[SimEvent] = sink
         .as_any()
         .downcast_ref::<MultiSink>()
@@ -151,9 +123,10 @@ fn controller_runs_are_bit_reproducible() {
         base_keep_alive: SimDuration::from_secs(2),
         ..AutoscalerConfig::default()
     };
-    for name in ["vanilla", "sfs", "kraken", "faasbatch"] {
-        let (report_a, jsonl_a) = run_scheduler_autoscaled(name, &w, &ac);
-        let (report_b, jsonl_b) = run_scheduler_autoscaled(name, &w, &ac);
+    for kind in SchedulerKind::PAPER_FOUR {
+        let name = kind.name();
+        let (report_a, jsonl_a) = run_scheduler_autoscaled(kind, &w, &ac);
+        let (report_b, jsonl_b) = run_scheduler_autoscaled(kind, &w, &ac);
         assert_eq!(report_a, report_b, "{name} report not reproducible");
         assert_eq!(jsonl_a, jsonl_b, "{name} event log not reproducible");
         assert!(

@@ -10,7 +10,7 @@ use faasbatch::metrics::report::RunReport;
 use faasbatch::simcore::rng::DetRng;
 use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{cpu_workload, io_workload, Workload, WorkloadConfig};
-use faasbatch_bench::run_six;
+use faasbatch_bench::reports;
 use std::collections::BTreeSet;
 
 const WINDOW: SimDuration = SimDuration::from_millis(200);
@@ -58,7 +58,10 @@ impl AllRuns {
 }
 
 fn run_all(w: &Workload, label: &str) -> AllRuns {
-    let [vanilla, sfs, kraken, hiku, late_bind, faasbatch] = run_six(w, label, WINDOW);
+    let runs: [RunReport; 6] = reports(&SchedulerKind::ALL, w, label, WINDOW)
+        .try_into()
+        .expect("one report per scheduler");
+    let [vanilla, sfs, kraken, hiku, late_bind, faasbatch] = runs;
     AllRuns {
         vanilla,
         sfs,
@@ -363,9 +366,9 @@ fn faasbatch_end_to_end_latency_beats_baselines_on_io() {
     assert!(mean(&runs.faasbatch) < mean(&runs.late_bind));
 }
 
-/// The report order of [`run_six`] agrees with the typed registry.
+/// The report order of the shared runner agrees with the typed registry.
 #[test]
-fn run_six_order_matches_scheduler_kind_all() {
+fn run_kinds_order_matches_scheduler_kind_all() {
     let w = cpu_workload(
         &DetRng::new(5),
         &WorkloadConfig {
@@ -376,7 +379,8 @@ fn run_six_order_matches_scheduler_kind_all() {
             ..WorkloadConfig::default()
         },
     );
-    let reports = run_six(&w, "cpu", WINDOW);
+    let reports = reports(&SchedulerKind::ALL, &w, "cpu", WINDOW);
+    assert_eq!(reports.len(), SchedulerKind::ALL.len());
     for (report, kind) in reports.iter().zip(SchedulerKind::ALL) {
         assert_eq!(report.scheduler, kind.name());
     }
