@@ -1503,7 +1503,8 @@ mod tests {
         }
     }
 
-    /// Every table default, as the hand-written parser used them.
+    /// The documented default of every flag, by command and by shared group
+    /// (`+name`); changing one is a user-visible change this test must see.
     #[rustfmt::skip]
     const DEFAULTS: &[(&str, &[(&str, &str)])] = &[
         ("+workload", &[("--workload", "cpu"), ("--seed", "2023"), ("--functions", "8"),
