@@ -13,15 +13,15 @@
 //! * the Inline-Parallel Producer — embodied by
 //!   [`policy::FaasBatchPolicy`] in simulation (groups dispatched
 //!   `Parallel` onto one container each) and by the live
-//!   [`platform::FaasBatchPlatform`] dispatcher (§III-C);
+//!   [`platform::PlatformWorker`] group starter (§III-C);
 //! * [`multiplexer::ResourceMultiplexer`] — the per-container
 //!   `resource → Hash(args) → instance` cache with single-flight creation
 //!   (§III-D).
 //!
 //! Use [`policy::run_faasbatch`] to run the simulated evaluation against
 //! the baselines in `faasbatch-schedulers`, or
-//! [`platform::PlatformBuilder`] to run real closures on a live,
-//! thread-backed platform.
+//! [`platform::PlatformBuilder`] to run real closures on a live platform
+//! over the work-stealing executor.
 //!
 //! # Examples
 //!

@@ -1,20 +1,22 @@
 //! A live (real-clock) FaaSBatch platform.
 //!
 //! This is the runnable counterpart of the simulated policy: a front door
-//! that accepts invocations, a dispatcher that batches them per function
+//! that accepts invocations, a window thread that batches them per function
 //! across a wall-clock window (Invoke Mapper), warm container reuse, group
 //! expansion on the shared work-stealing executor (Inline-Parallel
 //! Producer), and a per-container [`ResourceMultiplexer`] for storage
 //! clients. The examples and the motivation benchmarks (Fig. 1/4/5) run on
 //! this.
 //!
-//! Each dispatched batch becomes one executor **task group**
-//! ([`faasbatch_exec::GroupJob`]s behind a completion barrier), so one
-//! process multiplexes every in-flight batch over a fixed worker pool
-//! instead of spawning a thread per invocation; cold-start delays and
-//! warm-pool keep-alive eviction ride the executor's timer wheel rather
-//! than sleeping threads. The original thread-per-job backend is retained
-//! ([`LiveBackend::ThreadPerJob`]) as a comparison baseline.
+//! One execution path runs every group, from window to executor. A
+//! [`PlatformWorker`] is the group starter and has no thread of its own: on
+//! the caller's thread it acquires a warm, restored or cold container,
+//! emits the dispatch events, and submits the batch as one executor **task
+//! group** ([`faasbatch_exec::GroupJob`]s behind a completion barrier), or
+//! arms the cold/restore timer that submits it later. Keep-alive eviction
+//! rides the same timer wheel. [`FaasBatchPlatform`] wraps one worker with
+//! its window thread; the gateway's shard threads call their workers
+//! directly ([`PlatformWorker::submit_group`]).
 //!
 //! With a [`LiveTraceRecorder`] attached ([`PlatformBuilder::trace`]), every
 //! run emits the same typed [`SimEvent`] stream as the simulator — arrivals,
@@ -28,7 +30,6 @@ use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use faasbatch_container::container::ContainerState;
 use faasbatch_container::ids::{ContainerId, FunctionId, InvocationId};
-use faasbatch_container::live::LiveBackend;
 use faasbatch_exec::{global_executor, Executor, GroupJob, GroupReport};
 use faasbatch_metrics::events::{EventKind, SimEvent, TaskKind};
 use faasbatch_metrics::live::LiveTraceRecorder;
@@ -36,7 +37,7 @@ use faasbatch_simcore::time::{SimDuration, SimTime};
 use faasbatch_storage::client::{ClientConfig, StorageClient, StorageSdk};
 use faasbatch_storage::object_store::ObjectStore;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,11 +222,11 @@ struct Request {
 }
 
 /// Runs after a remotely submitted group fully completes, with the batch
-/// size (see [`FaasBatchPlatform::submit_group`]).
+/// size (see [`PlatformWorker::submit_group`]).
 pub type GroupDone = Box<dyn FnOnce(usize) + Send + 'static>;
 
 /// One member of a pre-formed batch handed to
-/// [`FaasBatchPlatform::submit_group`].
+/// [`PlatformWorker::submit_group`].
 ///
 /// The caller (the gateway) mints the invocation id from a shared
 /// [`PlatformIds`] and keeps the [`InvokeTicket`]; the job carries the reply
@@ -279,11 +280,6 @@ impl RemoteJob {
 
 enum Message {
     Invoke(Request),
-    Group {
-        function: usize,
-        members: Vec<RemoteJob>,
-        on_done: Option<GroupDone>,
-    },
     Flush(Sender<()>),
 }
 
@@ -348,54 +344,116 @@ struct WarmEntry {
     generation: u64,
 }
 
-type WarmPools = Arc<Mutex<HashMap<usize, Vec<WarmEntry>>>>;
+/// Everything a group can start from, under one lock so any thread may
+/// start a group: the warm pools and the snapshot templates.
+#[derive(Default)]
+struct Pools {
+    /// Idle containers per function, most recently returned last.
+    warm: HashMap<usize, Vec<WarmEntry>>,
+    /// Snapshot templates: function → last-use stamp (LRU).
+    templates: HashMap<usize, u64>,
+    /// Stamps both warm-entry generations and template uses.
+    clock: u64,
+}
 
-/// Counts in-flight batch groups so `drain`/shutdown can wait for work that
-/// no longer lives on joinable threads (executor groups, cold-start timers).
+impl Pools {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The start tier of a pool miss with the snapshot tier on: restore if
+    /// `function` has a template, else boot cold and capture one, evicting
+    /// the least recently used template beyond `capacity`. (The simulator
+    /// captures at boot completion; the live approximation captures at
+    /// provision time.)
+    fn template_tier(&mut self, function: usize, capacity: usize) -> StartTier {
+        let stamp = self.tick();
+        if let Some(last_used) = self.templates.get_mut(&function) {
+            *last_used = stamp;
+            return StartTier::Restored;
+        }
+        self.templates.insert(function, stamp);
+        if self.templates.len() > capacity {
+            let victim = self
+                .templates
+                .iter()
+                .min_by_key(|(_, &t)| t)
+                .map(|(&f, _)| f);
+            if let Some(victim) = victim {
+                self.templates.remove(&victim);
+            }
+        }
+        StartTier::Cold
+    }
+}
+
+/// The groups a worker has started and not yet finished, by start
+/// sequence, so a drain can wait for work that lives on no joinable thread
+/// (executor groups, start timers) — exactly the groups started before the
+/// drain, while other threads keep starting new ones.
 #[derive(Default)]
 struct PendingGroups {
-    count: std::sync::Mutex<usize>,
-    cvar: std::sync::Condvar,
+    open: std::sync::Mutex<PendingSet>,
+    finished: std::sync::Condvar,
+}
+
+#[derive(Default)]
+struct PendingSet {
+    next: u64,
+    open: BTreeSet<u64>,
 }
 
 impl PendingGroups {
-    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
-        self.count
+    fn lock(&self) -> std::sync::MutexGuard<'_, PendingSet> {
+        self.open
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn enter(&self) {
-        *self.lock() += 1;
+    /// Registers a started group and returns its sequence number.
+    fn enter(&self) -> u64 {
+        let mut set = self.lock();
+        let seq = set.next;
+        set.next += 1;
+        set.open.insert(seq);
+        seq
     }
 
-    fn exit(&self) {
-        let mut count = self.lock();
-        *count = count.saturating_sub(1);
-        if *count == 0 {
-            self.cvar.notify_all();
+    fn exit(&self, seq: u64) {
+        let mut set = self.lock();
+        let oldest = set.open.first() == Some(&seq);
+        set.open.remove(&seq);
+        if oldest {
+            self.finished.notify_all();
         }
     }
 
-    fn wait_idle(&self) {
-        let mut count = self.lock();
-        while *count > 0 {
-            count = self
-                .cvar
-                .wait(count)
+    /// The sequence number the next group will get.
+    fn next(&self) -> u64 {
+        self.lock().next
+    }
+
+    /// Blocks until every group numbered below `upto` has exited.
+    fn wait_below(&self, upto: u64) {
+        let mut set = self.lock();
+        while set.open.first().is_some_and(|&oldest| oldest < upto) {
+            set = self
+                .finished
+                .wait(set)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 }
 
-/// Builder for [`FaasBatchPlatform`].
+/// Builder for [`FaasBatchPlatform`] and for the gateway's thread-less
+/// [`PlatformWorker`]s.
 pub struct PlatformBuilder {
     window: Duration,
     multiplex: bool,
     cold_start_delay: Duration,
     snapshots: usize,
     restore_delay: Duration,
-    backend: LiveBackend,
     executor: Option<Arc<Executor>>,
     recorder: Option<LiveTraceRecorder>,
     telemetry: Option<Arc<PlatformTelemetry>>,
@@ -410,7 +468,6 @@ impl fmt::Debug for PlatformBuilder {
         f.debug_struct("PlatformBuilder")
             .field("window", &self.window)
             .field("multiplex", &self.multiplex)
-            .field("backend", &self.backend)
             .field("functions", &self.functions.len())
             .finish()
     }
@@ -424,7 +481,7 @@ impl Default for PlatformBuilder {
 
 impl PlatformBuilder {
     /// Starts a builder with the paper's defaults (200 ms window,
-    /// multiplexer on, executor backend).
+    /// multiplexer on).
     pub fn new() -> Self {
         PlatformBuilder {
             window: Duration::from_millis(200),
@@ -432,7 +489,6 @@ impl PlatformBuilder {
             cold_start_delay: Duration::from_millis(25),
             snapshots: 0,
             restore_delay: Duration::from_millis(2),
-            backend: LiveBackend::default(),
             executor: None,
             recorder: None,
             telemetry: None,
@@ -480,14 +536,6 @@ impl PlatformBuilder {
     /// snapshot template (default 2 ms; compare the 25 ms cold default).
     pub fn restore_delay(mut self, delay: Duration) -> Self {
         self.restore_delay = delay;
-        self
-    }
-
-    /// Selects the batch-expansion backend (default: the work-stealing
-    /// executor; [`LiveBackend::ThreadPerJob`] is the original
-    /// thread-per-invocation baseline).
-    pub fn backend(mut self, backend: LiveBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -550,55 +598,57 @@ impl PlatformBuilder {
         self
     }
 
-    /// Starts the dispatcher and returns the running platform.
-    pub fn start(self) -> FaasBatchPlatform {
-        let (tx, rx) = channel::unbounded();
-        let stats = Arc::new(PlatformStats::default());
-        let names: Vec<String> = self.functions.iter().map(|(n, _)| n.clone()).collect();
-        let recorder = self.recorder;
-        let telemetry = self.telemetry;
-        if let Some(tel) = &telemetry {
+    /// Builds the group starter alone, without a window thread: groups
+    /// arrive pre-formed through [`PlatformWorker::submit_group`], so the
+    /// builder's window is unused. This is a gateway worker.
+    pub fn build(self) -> Arc<PlatformWorker> {
+        if let Some(tel) = &self.telemetry {
             // Pre-register every function's latency family so exposition
             // order is registration order, not first-completion order.
-            for function in 0..names.len() {
+            for function in 0..self.functions.len() {
                 tel.ensure_function(function);
             }
         }
-        let ids = self.ids.unwrap_or_default();
-        let dispatcher = Dispatcher {
-            rx,
-            window: self.window,
+        let (names, handlers) = self.functions.into_iter().unzip();
+        Arc::new(PlatformWorker {
+            names,
+            handlers,
             multiplex: self.multiplex,
             cold_start_delay: self.cold_start_delay,
             snapshots: self.snapshots,
             restore_delay: self.restore_delay,
-            templates: HashMap::new(),
-            template_clock: 0,
-            backend: self.backend,
-            executor: self.executor.unwrap_or_else(global_executor),
-            recorder: recorder.clone(),
-            telemetry: telemetry.clone(),
             keep_alive: self.keep_alive,
             store: self.store,
-            handlers: self.functions.into_iter().map(|(_, h)| h).collect(),
-            warm: Arc::new(Mutex::new(HashMap::new())),
-            warm_gen: Arc::new(AtomicU64::new(0)),
-            stats: stats.clone(),
-            ids: Arc::clone(&ids),
-            pending: Arc::new(PendingGroups::default()),
-        };
+            executor: self.executor.unwrap_or_else(global_executor),
+            recorder: self.recorder,
+            telemetry: self.telemetry,
+            ids: self.ids.unwrap_or_default(),
+            stats: PlatformStats::default(),
+            pools: Mutex::new(Pools::default()),
+            pending: PendingGroups::default(),
+        })
+    }
+
+    /// Starts the window thread over a fresh [`PlatformWorker`] and returns
+    /// the running platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is zero.
+    pub fn start(self) -> FaasBatchPlatform {
+        assert!(!self.window.is_zero(), "window must be positive");
+        let window = self.window;
+        let worker = self.build();
+        let (tx, rx) = channel::unbounded();
+        let windowed = Arc::clone(&worker);
         let handle = std::thread::Builder::new()
-            .name("faasbatch-dispatcher".to_owned())
-            .spawn(move || dispatcher.run())
-            .expect("spawn dispatcher");
+            .name("faasbatch-window".to_owned())
+            .spawn(move || run_window(&windowed, &rx, window))
+            .expect("spawn window thread");
         FaasBatchPlatform {
+            worker,
             tx: Some(tx),
-            dispatcher: Some(handle),
-            names,
-            stats,
-            recorder,
-            telemetry,
-            ids,
+            window_thread: Some(handle),
         }
     }
 }
@@ -616,90 +666,138 @@ enum StartTier {
     Cold,
 }
 
-struct Dispatcher {
-    rx: Receiver<Message>,
-    window: Duration,
+/// The platform's window thread (the Invoke Mapper): buffers one dispatch
+/// window of invocations per function, then starts each function's group
+/// on the worker. A flush is acknowledged once the groups of its window
+/// have started; the caller then waits for them on the worker.
+fn run_window(worker: &Arc<PlatformWorker>, rx: &Receiver<Message>, window: Duration) {
+    loop {
+        let deadline = Instant::now() + window;
+        let mut flushes: Vec<Sender<()>> = Vec::new();
+        let mut groups: BTreeMap<usize, Vec<Request>> = BTreeMap::new();
+        let open = loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break true;
+            }
+            match rx.recv_timeout(left) {
+                Ok(Message::Invoke(req)) => groups.entry(req.function).or_default().push(req),
+                Ok(Message::Flush(done)) => flushes.push(done),
+                Err(RecvTimeoutError::Timeout) => break true,
+                Err(RecvTimeoutError::Disconnected) => break false,
+            }
+        };
+        for (function, batch) in groups {
+            worker.start_group(function, batch, None);
+        }
+        for done in flushes {
+            let _ = done.send(());
+        }
+        if !open {
+            return;
+        }
+    }
+}
+
+/// A platform's group starter, with no thread of its own (the
+/// Inline-Parallel Producer): it takes a formed group on the caller's
+/// thread, acquires a warm, restored or cold container, and expands the
+/// group on the executor. [`FaasBatchPlatform`]'s window thread and the
+/// gateway's shard threads both start groups here.
+pub struct PlatformWorker {
+    names: Vec<String>,
+    handlers: Vec<Handler>,
     multiplex: bool,
     cold_start_delay: Duration,
     snapshots: usize,
     restore_delay: Duration,
-    /// Snapshot templates: function → last-use stamp (LRU), bounded at
-    /// `snapshots` entries. Only touched by the dispatcher thread.
-    templates: HashMap<usize, u64>,
-    template_clock: u64,
-    backend: LiveBackend,
+    keep_alive: Option<Duration>,
+    store: ObjectStore,
     executor: Arc<Executor>,
     recorder: Option<LiveTraceRecorder>,
     telemetry: Option<Arc<PlatformTelemetry>>,
-    keep_alive: Option<Duration>,
-    store: ObjectStore,
-    handlers: Vec<Handler>,
-    warm: WarmPools,
-    warm_gen: Arc<AtomicU64>,
-    stats: Arc<PlatformStats>,
     ids: Arc<PlatformIds>,
-    pending: Arc<PendingGroups>,
+    stats: PlatformStats,
+    pools: Mutex<Pools>,
+    pending: PendingGroups,
 }
 
-impl Dispatcher {
-    fn run(mut self) {
-        let mut open = true;
-        while open {
-            // Invoke-Mapper phase: buffer one window's worth of requests.
-            let deadline = Instant::now() + self.window;
-            let mut flushes: Vec<Sender<()>> = Vec::new();
-            let mut groups: HashMap<usize, Vec<Request>> = HashMap::new();
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let message = self.rx.recv_timeout(deadline - now);
-                match message {
-                    Ok(Message::Invoke(req)) => groups.entry(req.function).or_default().push(req),
-                    // A remotely built group was already windowed and routed
-                    // by the gateway; dispatch it immediately as a unit —
-                    // re-windowing here could merge or split it.
-                    Ok(Message::Group {
-                        function,
-                        members,
-                        on_done,
-                    }) => {
-                        let batch = members
-                            .into_iter()
-                            .map(|job| job.into_request(function))
-                            .collect();
-                        self.spawn_group(function, batch, on_done);
-                    }
-                    Ok(Message::Flush(done)) => flushes.push(done),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
-            }
-            // Inline-Parallel-Producer phase: one container per group, every
-            // group expanded concurrently on the backend.
-            let mut order: Vec<usize> = groups.keys().copied().collect();
-            order.sort_unstable();
-            for function in order {
-                let batch = groups.remove(&function).expect("group exists");
-                self.spawn_group(function, batch, None);
-            }
-            if !flushes.is_empty() {
-                // A flush acknowledges only after every in-flight group —
-                // including cold ones parked on the timer wheel — resolved.
-                self.pending.wait_idle();
-                for done in flushes {
-                    let _ = done.send(());
-                }
-            }
+impl fmt::Debug for PlatformWorker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PlatformWorker")
+            .field("functions", &self.names)
+            .field("stats", &self.stats)
+            .finish()
+    }
+}
+
+impl PlatformWorker {
+    /// Starts a pre-formed batch of `function` (a registry index) as
+    /// **one** batch, on the calling thread, with no dispatch window.
+    ///
+    /// This is the gateway's entry point: the caller already collected a
+    /// dispatch window and routed the whole group here, so the worker must
+    /// not re-window (which could merge or split it). The caller is
+    /// responsible for emitting the members' `Arrival` events, minting
+    /// invocation ids from the shared [`PlatformIds`]; the worker emits
+    /// everything from the dispatch decision on. `on_done` runs once the
+    /// whole group finished, with the batch size.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::UnknownFunction`] if `function` is out of range.
+    pub fn submit_group(
+        self: &Arc<Self>,
+        function: usize,
+        members: Vec<RemoteJob>,
+        on_done: Option<GroupDone>,
+    ) -> Result<(), PlatformError> {
+        if function >= self.handlers.len() {
+            return Err(PlatformError::UnknownFunction(format!("fn#{function}")));
         }
-        self.pending.wait_idle();
+        if members.is_empty() {
+            if let Some(on_done) = on_done {
+                on_done(0);
+            }
+            return Ok(());
+        }
+        if let Some(tel) = &self.telemetry {
+            tel.in_flight.add(members.len() as i64);
+        }
+        let batch = members
+            .into_iter()
+            .map(|job| job.into_request(function))
+            .collect();
+        self.start_group(function, batch, on_done);
+        Ok(())
     }
 
-    fn spawn_group(&mut self, function: usize, batch: Vec<Request>, on_done: Option<GroupDone>) {
+    /// Blocks until every group started before this call has completed,
+    /// including cold and restored ones still waiting on the timer wheel.
+    pub fn drain(&self) {
+        self.pending.wait_below(self.pending.next());
+    }
+
+    /// Aggregate counters.
+    pub fn stats(&self) -> &PlatformStats {
+        &self.stats
+    }
+
+    fn emit(&self, kind: EventKind) {
+        if let Some(rec) = &self.recorder {
+            rec.record(kind);
+        }
+    }
+
+    /// Acquires a container, emits the dispatch events, then submits the
+    /// group to the executor (warm) or arms its start timer (cold,
+    /// restored).
+    fn start_group(
+        self: &Arc<Self>,
+        function: usize,
+        batch: Vec<Request>,
+        on_done: Option<GroupDone>,
+    ) {
         let (env, tier) = self.acquire_container(function);
         let cold = tier == StartTier::Cold;
         let restored = tier == StartTier::Restored;
@@ -735,468 +833,267 @@ impl Dispatcher {
             rec.record(EventKind::TaskFinish {
                 task: TaskKind::Decision { batch: batch_id },
             });
-            if cold {
+            if tier != StartTier::Warm {
                 rec.record(EventKind::ContainerStateChange {
                     container,
                     from: None,
                     to: ContainerState::Provisioning,
                 });
-                rec.record(EventKind::ColdStartBegin {
-                    container,
-                    batch: Some(batch_id),
-                });
-            } else if restored {
-                rec.record(EventKind::ContainerStateChange {
-                    container,
-                    from: None,
-                    to: ContainerState::Provisioning,
-                });
-                rec.record(EventKind::RestoreBegin {
-                    container,
-                    batch: Some(batch_id),
+                let batch = Some(batch_id);
+                rec.record(if cold {
+                    EventKind::ColdStartBegin { container, batch }
+                } else {
+                    EventKind::RestoreBegin { container, batch }
                 });
             }
         }
-        self.pending.enter();
-        let ctx = GroupCtx {
-            handler: self.handlers[function].clone(),
+        let group = Group {
+            seq: self.pending.enter(),
+            worker: Arc::clone(self),
             env,
             requests: batch,
             function,
             batch: batch_id,
-            cold,
-            restored,
-            recorder: self.recorder.clone(),
-            telemetry: self.telemetry.clone(),
-            warm: Arc::clone(&self.warm),
-            warm_gen: Arc::clone(&self.warm_gen),
-            keep_alive: self.keep_alive,
-            stats: Arc::clone(&self.stats),
-            executor: Arc::clone(&self.executor),
-            pending: Arc::clone(&self.pending),
+            tier,
             on_done,
         };
-        match self.backend {
-            LiveBackend::Executor => {
-                match tier {
-                    StartTier::Cold => {
-                        // The cold-start delay rides the timer wheel: the
-                        // ready events are emitted in the callback *before*
-                        // the group is submitted, so `ColdStartEnd` strictly
-                        // precedes every `ExecBegin` of the batch.
-                        self.executor.schedule(self.cold_start_delay, move || {
-                            ctx.mark_ready_after_cold();
-                            ctx.submit();
-                        });
-                    }
-                    StartTier::Restored => {
-                        // Same shape, shorter delay: `RestoreDone` strictly
-                        // precedes every `ExecBegin`.
-                        self.executor.schedule(self.restore_delay, move || {
-                            ctx.mark_ready_after_restore();
-                            ctx.submit();
-                        });
-                    }
-                    StartTier::Warm => {
-                        ctx.mark_busy_from_warm();
-                        ctx.submit();
-                    }
-                }
-            }
-            LiveBackend::ThreadPerJob => {
-                let cold_delay = self.cold_start_delay;
-                let restore_delay = self.restore_delay;
-                std::thread::Builder::new()
-                    .name(format!("faasbatch-ctr-{}", ctx.env.id()))
-                    .spawn(move || {
-                        match tier {
-                            StartTier::Cold => {
-                                std::thread::sleep(cold_delay);
-                                ctx.mark_ready_after_cold();
-                            }
-                            StartTier::Restored => {
-                                std::thread::sleep(restore_delay);
-                                ctx.mark_ready_after_restore();
-                            }
-                            StartTier::Warm => ctx.mark_busy_from_warm(),
-                        }
-                        ctx.run_thread_per_job();
-                    })
-                    .expect("spawn group thread");
-            }
-        }
+        let delay = match tier {
+            StartTier::Warm => return group.run(),
+            StartTier::Cold => self.cold_start_delay,
+            StartTier::Restored => self.restore_delay,
+        };
+        // The start delay rides the timer wheel: the ready events are
+        // emitted in the callback *before* the group is submitted, so
+        // `ColdStartEnd` / `RestoreDone` strictly precede every `ExecBegin`
+        // of the batch.
+        self.executor.schedule(delay, move || group.run());
     }
 
     /// Three start tiers, mirroring the simulator's
     /// [`Cluster::acquire`](faasbatch_container::cluster::Cluster::acquire):
     /// warm-pool hit, then snapshot-template restore, then full cold boot
     /// (which captures a template for later restores when the tier is on).
-    fn acquire_container(&mut self, function: usize) -> (Arc<ContainerEnv>, StartTier) {
-        if let Some(entry) = self.warm.lock().get_mut(&function).and_then(Vec::pop) {
-            return (entry.env, StartTier::Warm);
-        }
-        let tier = if self.snapshots > 0 {
-            self.template_clock += 1;
-            let stamp = self.template_clock;
-            if let Some(last_used) = self.templates.get_mut(&function) {
-                *last_used = stamp;
-                StartTier::Restored
+    fn acquire_container(&self, function: usize) -> (Arc<ContainerEnv>, StartTier) {
+        let tier = {
+            let mut pools = self.pools.lock();
+            if let Some(entry) = pools.warm.get_mut(&function).and_then(Vec::pop) {
+                return (entry.env, StartTier::Warm);
+            }
+            if self.snapshots > 0 {
+                pools.template_tier(function, self.snapshots)
             } else {
-                // Live approximation of snapshot capture: remember the
-                // function at provision time (the simulator captures at
-                // boot completion; the dispatcher thread has no ready
-                // callback, so capture here and keep the cache
-                // single-threaded).
-                self.templates.insert(function, stamp);
-                while self.templates.len() > self.snapshots {
-                    if let Some(victim) = self
-                        .templates
-                        .iter()
-                        .min_by_key(|(_, &t)| t)
-                        .map(|(f, _)| *f)
-                    {
-                        self.templates.remove(&victim);
-                    }
-                }
                 StartTier::Cold
             }
-        } else {
-            StartTier::Cold
         };
-        let id = self.ids.next_container();
-        (
-            Arc::new(ContainerEnv {
-                id,
-                multiplexer: ResourceMultiplexer::new(),
-                sdk: StorageSdk::new(self.store.clone()),
-                multiplex: self.multiplex,
-            }),
-            tier,
-        )
-    }
-}
-
-/// Everything one dispatched batch needs to run to completion on either
-/// backend: the members, the container, and the shared platform state the
-/// finishing side updates.
-struct GroupCtx {
-    handler: Handler,
-    env: Arc<ContainerEnv>,
-    requests: Vec<Request>,
-    function: usize,
-    batch: u64,
-    cold: bool,
-    restored: bool,
-    recorder: Option<LiveTraceRecorder>,
-    telemetry: Option<Arc<PlatformTelemetry>>,
-    warm: WarmPools,
-    warm_gen: Arc<AtomicU64>,
-    keep_alive: Option<Duration>,
-    stats: Arc<PlatformStats>,
-    executor: Arc<Executor>,
-    pending: Arc<PendingGroups>,
-    on_done: Option<GroupDone>,
-}
-
-impl GroupCtx {
-    fn emit(&self, kind: EventKind) {
-        if let Some(rec) = &self.recorder {
-            rec.record(kind);
-        }
-    }
-
-    fn container(&self) -> ContainerId {
-        ContainerId::new(self.env.id())
-    }
-
-    /// Cold path, after the delay elapsed: the container becomes usable and
-    /// immediately checks out to this batch.
-    fn mark_ready_after_cold(&self) {
-        let container = self.container();
-        self.emit(EventKind::ColdStartEnd {
-            container,
-            batch: Some(self.batch),
-        });
-        self.emit(EventKind::ContainerStateChange {
-            container,
-            from: Some(ContainerState::Provisioning),
-            to: ContainerState::Idle,
-        });
-        self.emit(EventKind::ContainerStateChange {
-            container,
-            from: Some(ContainerState::Idle),
-            to: ContainerState::Busy,
-        });
-    }
-
-    /// Restore path, after the (short) delay elapsed: the cloned template
-    /// becomes usable and immediately checks out to this batch.
-    fn mark_ready_after_restore(&self) {
-        let container = self.container();
-        self.emit(EventKind::RestoreDone {
-            container,
-            batch: Some(self.batch),
-        });
-        self.emit(EventKind::ContainerStateChange {
-            container,
-            from: Some(ContainerState::Provisioning),
-            to: ContainerState::Idle,
-        });
-        self.emit(EventKind::ContainerStateChange {
-            container,
-            from: Some(ContainerState::Idle),
-            to: ContainerState::Busy,
-        });
-    }
-
-    /// Warm path: the pooled container checks out to this batch.
-    fn mark_busy_from_warm(&self) {
-        self.emit(EventKind::ContainerStateChange {
-            container: self.container(),
-            from: Some(ContainerState::Idle),
-            to: ContainerState::Busy,
-        });
-    }
-
-    /// Splits the batch into per-member runs plus the finishing step both
-    /// backends share.
-    fn into_parts(self) -> (Vec<MemberRun>, GroupFinisher) {
-        let GroupCtx {
-            handler,
-            env,
-            requests,
-            function,
-            batch,
-            cold,
-            restored,
-            recorder,
-            telemetry,
-            warm,
-            warm_gen,
-            keep_alive,
-            stats,
-            executor,
-            pending,
-            on_done,
-        } = self;
-        let batch_size = requests.len() as u64;
-        let sdk_creations_before = env.sdk.total_creations() as u64;
-        let members = requests
-            .into_iter()
-            .enumerate()
-            .map(|(index, req)| MemberRun {
-                handler: handler.clone(),
-                env: Arc::clone(&env),
-                req,
-                batch,
-                member: index as u32,
-                cold,
-                restored,
-                recorder: recorder.clone(),
-                telemetry: telemetry.clone(),
-            })
-            .collect();
-        let finisher = GroupFinisher {
-            env,
-            function,
-            batch_size,
-            sdk_creations_before,
-            recorder,
-            warm,
-            warm_gen,
-            keep_alive,
-            stats,
-            executor,
-            pending,
-            on_done,
+        let env = ContainerEnv {
+            id: self.ids.next_container(),
+            multiplexer: ResourceMultiplexer::new(),
+            sdk: StorageSdk::new(self.store.clone()),
+            multiplex: self.multiplex,
         };
-        (members, finisher)
+        (Arc::new(env), tier)
     }
 
-    /// Executor backend: the batch becomes one task group; the barrier's
-    /// `on_complete` — run by the last finishing member on its worker —
-    /// replaces the per-batch join thread.
-    fn submit(self) {
-        let executor = Arc::clone(&self.executor);
-        let (members, finisher) = self.into_parts();
-        let jobs: Vec<GroupJob> = members
-            .into_iter()
-            .map(|member| GroupJob::blocking(move || member.run()))
-            .collect();
-        executor.submit_group_with(
-            jobs,
-            None,
-            Some(Box::new(move |_report: &GroupReport| finisher.finish())),
-        );
-    }
-
-    /// Thread-per-job backend: the original scoped-thread expansion.
-    fn run_thread_per_job(self) {
-        let (members, finisher) = self.into_parts();
-        std::thread::scope(|scope| {
-            for member in members {
-                scope.spawn(move || member.run());
-            }
-        });
-        finisher.finish();
-    }
-}
-
-/// One batch member: runs the handler with the panic boundary, reports the
-/// outcome, and emits the member's exec/completion events.
-struct MemberRun {
-    handler: Handler,
-    env: Arc<ContainerEnv>,
-    req: Request,
-    batch: u64,
-    member: u32,
-    cold: bool,
-    restored: bool,
-    recorder: Option<LiveTraceRecorder>,
-    telemetry: Option<Arc<PlatformTelemetry>>,
-}
-
-impl MemberRun {
-    fn run(self) {
+    /// One batch member: runs the handler with the panic boundary, reports
+    /// the outcome, and emits the member's exec/completion events.
+    fn run_member(
+        &self,
+        env: &ContainerEnv,
+        req: Request,
+        batch: u64,
+        member: u32,
+        tier: StartTier,
+    ) {
         let started = Instant::now();
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::ExecBegin {
-                batch: self.batch,
-                member: self.member,
-                // Live handlers have no declared intrinsic work; zero makes
-                // the attribution of the observed span exact.
-                work: SimDuration::ZERO,
-            });
-        }
+        self.emit(EventKind::ExecBegin {
+            batch,
+            member,
+            // Live handlers have no declared intrinsic work; zero makes the
+            // attribution of the observed span exact.
+            work: SimDuration::ZERO,
+        });
         let ctx = InvocationEnv {
-            payload: self.req.payload.clone(),
-            container: &self.env,
+            payload: req.payload.clone(),
+            container: env,
         };
         // A user function crashing must not take down the container or
         // starve its batch siblings.
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| (self.handler)(&ctx)));
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::ExecEnd {
-                batch: self.batch,
-                member: self.member,
-            });
-        }
+        let result =
+            std::panic::catch_unwind(AssertUnwindSafe(|| (self.handlers[req.function])(&ctx)));
+        self.emit(EventKind::ExecEnd { batch, member });
         let outcome = InvokeOutcome {
-            queued: started.duration_since(self.req.enqueued),
+            queued: started.duration_since(req.enqueued),
             execution: started.elapsed(),
-            cold: self.cold,
-            restored: self.restored,
+            cold: tier == StartTier::Cold,
+            restored: tier == StartTier::Restored,
             panicked: result.is_err(),
         };
         if let Some(tel) = &self.telemetry {
             tel.on_member_done(
-                self.req.function,
+                req.function,
                 u64::try_from(outcome.total().as_micros()).unwrap_or(u64::MAX),
             );
         }
-        let _ = self.req.reply.send(outcome);
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::InvocationComplete {
-                invocation: self.req.invocation,
-                batch: Some(self.batch),
-                member: Some(self.member),
-            });
-        }
+        let _ = req.reply.send(outcome);
+        self.emit(EventKind::InvocationComplete {
+            invocation: req.invocation,
+            batch: Some(batch),
+            member: Some(member),
+        });
     }
-}
 
-/// The batch epilogue: fold client/invocation counters into the platform
-/// stats, release the container back to the warm pool, and (when keep-alive
-/// is on) arm the eviction timer.
-struct GroupFinisher {
-    env: Arc<ContainerEnv>,
-    function: usize,
-    batch_size: u64,
-    sdk_creations_before: u64,
-    recorder: Option<LiveTraceRecorder>,
-    warm: WarmPools,
-    warm_gen: Arc<AtomicU64>,
-    keep_alive: Option<Duration>,
-    stats: Arc<PlatformStats>,
-    executor: Arc<Executor>,
-    pending: Arc<PendingGroups>,
-    on_done: Option<GroupDone>,
-}
-
-impl GroupFinisher {
-    fn finish(self) {
-        let created = self.env.sdk.total_creations() as u64 - self.sdk_creations_before;
+    /// The batch epilogue: fold client/invocation counters into the stats,
+    /// release the container back to the warm pool, and (when keep-alive is
+    /// on) arm the eviction timer.
+    fn finish_group(
+        self: &Arc<Self>,
+        env: Arc<ContainerEnv>,
+        function: usize,
+        size: u64,
+        sdk_before: u64,
+    ) {
+        let created = env.sdk.total_creations() as u64 - sdk_before;
         self.stats
             .clients_created
             .fetch_add(created, Ordering::Relaxed);
-        self.stats
-            .invocations
-            .fetch_add(self.batch_size, Ordering::Relaxed);
-        let container = ContainerId::new(self.env.id());
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::ContainerStateChange {
-                container,
-                from: Some(ContainerState::Busy),
-                to: ContainerState::Idle,
-            });
-        }
-        // Return the container to the warm pool.
-        let generation = self.warm_gen.fetch_add(1, Ordering::Relaxed);
-        self.warm
-            .lock()
-            .entry(self.function)
-            .or_default()
-            .push(WarmEntry {
-                env: self.env,
-                generation,
-            });
+        self.stats.invocations.fetch_add(size, Ordering::Relaxed);
+        self.emit(EventKind::ContainerStateChange {
+            container: ContainerId::new(env.id()),
+            from: Some(ContainerState::Busy),
+            to: ContainerState::Idle,
+        });
+        let generation = {
+            let mut pools = self.pools.lock();
+            let generation = pools.tick();
+            pools
+                .warm
+                .entry(function)
+                .or_default()
+                .push(WarmEntry { env, generation });
+            generation
+        };
         if let Some(ttl) = self.keep_alive {
-            let warm = self.warm;
-            let function = self.function;
-            let stats = self.stats;
-            let recorder = self.recorder;
+            // Weak: a pending timer must not keep the worker, and through
+            // it the executor whose wheel holds the timer, alive.
+            let worker = Arc::downgrade(self);
             self.executor.schedule(ttl, move || {
-                let evicted = {
-                    let mut pools = warm.lock();
-                    let Some(pool) = pools.get_mut(&function) else {
-                        return;
-                    };
-                    // Evict only if the exact entry we parked is still
-                    // idle; a reused-and-returned container carries a newer
-                    // generation and keeps its own timer.
-                    let Some(pos) = pool.iter().position(|e| e.generation == generation) else {
-                        return;
-                    };
-                    pool.remove(pos)
-                };
-                stats.containers_evicted.fetch_add(1, Ordering::Relaxed);
-                if let Some(rec) = &recorder {
-                    rec.record(EventKind::ContainerStateChange {
-                        container: ContainerId::new(evicted.env.id()),
-                        from: Some(ContainerState::Idle),
-                        to: ContainerState::Terminated,
-                    });
+                if let Some(worker) = worker.upgrade() {
+                    worker.evict(function, generation);
                 }
             });
         }
-        if let Some(on_done) = self.on_done {
-            on_done(self.batch_size as usize);
-        }
-        self.pending.exit();
+    }
+
+    /// Keep-alive expiry: evicts the pooled entry only if it is still the
+    /// exact one parked; a reused-and-returned container carries a newer
+    /// generation and keeps its own timer.
+    fn evict(&self, function: usize, generation: u64) {
+        let evicted = {
+            let mut pools = self.pools.lock();
+            let Some(pool) = pools.warm.get_mut(&function) else {
+                return;
+            };
+            let Some(pos) = pool.iter().position(|e| e.generation == generation) else {
+                return;
+            };
+            pool.remove(pos)
+        };
+        self.stats
+            .containers_evicted
+            .fetch_add(1, Ordering::Relaxed);
+        self.emit(EventKind::ContainerStateChange {
+            container: ContainerId::new(evicted.env.id()),
+            from: Some(ContainerState::Idle),
+            to: ContainerState::Terminated,
+        });
     }
 }
 
-/// The running live platform. Dropping it drains in-flight work and joins
-/// the dispatcher.
+/// One started batch waiting for its container to be ready.
+struct Group {
+    /// Start sequence in the worker's [`PendingGroups`].
+    seq: u64,
+    worker: Arc<PlatformWorker>,
+    env: Arc<ContainerEnv>,
+    requests: Vec<Request>,
+    function: usize,
+    batch: u64,
+    tier: StartTier,
+    on_done: Option<GroupDone>,
+}
+
+impl Group {
+    /// The container is ready: it checks out to this batch, and the batch
+    /// becomes one executor task group whose barrier `on_complete` — run by
+    /// the last finishing member on its worker — is the batch epilogue.
+    fn run(self) {
+        let Group {
+            seq,
+            worker,
+            env,
+            requests,
+            function,
+            batch,
+            tier,
+            on_done,
+        } = self;
+        let container = ContainerId::new(env.id());
+        let ready = Some(batch);
+        match tier {
+            StartTier::Warm => {}
+            StartTier::Cold => worker.emit(EventKind::ColdStartEnd {
+                container,
+                batch: ready,
+            }),
+            StartTier::Restored => worker.emit(EventKind::RestoreDone {
+                container,
+                batch: ready,
+            }),
+        }
+        if tier != StartTier::Warm {
+            worker.emit(EventKind::ContainerStateChange {
+                container,
+                from: Some(ContainerState::Provisioning),
+                to: ContainerState::Idle,
+            });
+        }
+        worker.emit(EventKind::ContainerStateChange {
+            container,
+            from: Some(ContainerState::Idle),
+            to: ContainerState::Busy,
+        });
+        let size = requests.len() as u64;
+        let sdk_before = env.sdk.total_creations() as u64;
+        let jobs: Vec<GroupJob> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(member, req)| {
+                let (worker, env) = (Arc::clone(&worker), Arc::clone(&env));
+                GroupJob::blocking(move || worker.run_member(&env, req, batch, member as u32, tier))
+            })
+            .collect();
+        let executor = Arc::clone(&worker.executor);
+        executor.submit_group_with(
+            jobs,
+            None,
+            Some(Box::new(move |_report: &GroupReport| {
+                worker.finish_group(env, function, size, sdk_before);
+                if let Some(on_done) = on_done {
+                    on_done(size as usize);
+                }
+                worker.pending.exit(seq);
+            })),
+        );
+    }
+}
+
+/// The running live platform: a window thread over one [`PlatformWorker`].
+/// Dropping it joins the window thread and waits for in-flight work.
 #[derive(Debug)]
 pub struct FaasBatchPlatform {
+    worker: Arc<PlatformWorker>,
     tx: Option<Sender<Message>>,
-    dispatcher: Option<JoinHandle<()>>,
-    names: Vec<String>,
-    stats: Arc<PlatformStats>,
-    recorder: Option<LiveTraceRecorder>,
-    telemetry: Option<Arc<PlatformTelemetry>>,
-    ids: Arc<PlatformIds>,
+    window_thread: Option<JoinHandle<()>>,
 }
 
 impl FaasBatchPlatform {
@@ -1207,21 +1104,20 @@ impl FaasBatchPlatform {
     /// [`PlatformError::UnknownFunction`] if the name is not registered;
     /// [`PlatformError::ShuttingDown`] if the platform is stopping.
     pub fn invoke(&self, function: &str, payload: Bytes) -> Result<InvokeTicket, PlatformError> {
-        let idx = self
+        let worker = &self.worker;
+        let idx = worker
             .names
             .iter()
             .position(|n| n == function)
             .ok_or_else(|| PlatformError::UnknownFunction(function.to_owned()))?;
         let (reply, rx) = channel::bounded(1);
         let tx = self.tx.as_ref().ok_or(PlatformError::ShuttingDown)?;
-        let invocation = self.ids.next_invocation();
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::Arrival {
-                invocation,
-                function: FunctionId::new(idx as u32),
-            });
-        }
-        if let Some(tel) = &self.telemetry {
+        let invocation = worker.ids.next_invocation();
+        worker.emit(EventKind::Arrival {
+            invocation,
+            function: FunctionId::new(idx as u32),
+        });
+        if let Some(tel) = &worker.telemetry {
             tel.in_flight.add(1);
         }
         let sent = tx.send(Message::Invoke(Request {
@@ -1232,7 +1128,7 @@ impl FaasBatchPlatform {
             reply,
         }));
         if sent.is_err() {
-            if let Some(tel) = &self.telemetry {
+            if let Some(tel) = &worker.telemetry {
                 tel.in_flight.sub(1);
             }
             return Err(PlatformError::ShuttingDown);
@@ -1240,59 +1136,9 @@ impl FaasBatchPlatform {
         Ok(InvokeTicket { rx })
     }
 
-    /// Submits a pre-formed batch of `function` (a registry index) for
-    /// immediate dispatch as **one** batch, bypassing this platform's own
-    /// dispatch window.
-    ///
-    /// This is the gateway's entry point: the caller already collected a
-    /// dispatch window and routed the whole group here, so the platform
-    /// must not re-window (which could merge or split it). The caller is
-    /// responsible for emitting the members' `Arrival` events, minting
-    /// invocation ids from the shared [`PlatformIds`]; the platform emits
-    /// everything from the dispatch decision on. `on_done` runs once the
-    /// whole group finished, with the batch size.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::UnknownFunction`] if `function` is out of range;
-    /// [`PlatformError::ShuttingDown`] if the platform is stopping.
-    pub fn submit_group(
-        &self,
-        function: usize,
-        members: Vec<RemoteJob>,
-        on_done: Option<GroupDone>,
-    ) -> Result<(), PlatformError> {
-        if function >= self.names.len() {
-            return Err(PlatformError::UnknownFunction(format!("fn#{function}")));
-        }
-        if members.is_empty() {
-            if let Some(on_done) = on_done {
-                on_done(0);
-            }
-            return Ok(());
-        }
-        let tx = self.tx.as_ref().ok_or(PlatformError::ShuttingDown)?;
-        let size = members.len() as i64;
-        if let Some(tel) = &self.telemetry {
-            tel.in_flight.add(size);
-        }
-        let sent = tx.send(Message::Group {
-            function,
-            members,
-            on_done,
-        });
-        if sent.is_err() {
-            if let Some(tel) = &self.telemetry {
-                tel.in_flight.sub(size);
-            }
-            return Err(PlatformError::ShuttingDown);
-        }
-        Ok(())
-    }
-
     /// The id counters this platform mints from ([`PlatformBuilder::ids`]).
     pub fn ids(&self) -> &Arc<PlatformIds> {
-        &self.ids
+        &self.worker.ids
     }
 
     /// Blocks until every invocation submitted so far has completed.
@@ -1305,32 +1151,36 @@ impl FaasBatchPlatform {
         let tx = self.tx.as_ref().ok_or(PlatformError::ShuttingDown)?;
         tx.send(Message::Flush(done))
             .map_err(|_| PlatformError::ShuttingDown)?;
-        rx.recv().map_err(|_| PlatformError::ShuttingDown)
+        rx.recv().map_err(|_| PlatformError::ShuttingDown)?;
+        self.worker.drain();
+        Ok(())
     }
 
     /// Aggregate counters.
     pub fn stats(&self) -> &PlatformStats {
-        &self.stats
+        self.worker.stats()
     }
 
     /// Registered function names, in registration order.
     pub fn functions(&self) -> &[String] {
-        &self.names
+        &self.worker.names
     }
 
     /// The attached trace recorder, if any ([`PlatformBuilder::trace`]).
     pub fn trace_recorder(&self) -> Option<&LiveTraceRecorder> {
-        self.recorder.as_ref()
+        self.worker.recorder.as_ref()
     }
 }
 
 impl Drop for FaasBatchPlatform {
     fn drop(&mut self) {
-        // Closing the channel lets the dispatcher drain and exit.
+        // Closing the channel lets the window thread start its last window
+        // and exit; then every started group is waited for.
         self.tx.take();
-        if let Some(h) = self.dispatcher.take() {
+        if let Some(h) = self.window_thread.take() {
             let _ = h.join();
         }
+        self.worker.drain();
     }
 }
 
@@ -1520,76 +1370,153 @@ mod tests {
     }
 
     #[test]
-    fn thread_per_job_backend_still_works() {
+    fn traced_run_is_auditor_clean_with_exact_attribution() {
+        let recorder = LiveTraceRecorder::new();
         let counter = Arc::new(AtomicUsize::new(0));
         let c = counter.clone();
         let platform = PlatformBuilder::new()
             .window(Duration::from_millis(10))
-            .cold_start_delay(Duration::from_millis(1))
-            .backend(LiveBackend::ThreadPerJob)
+            .cold_start_delay(Duration::from_millis(2))
+            .trace(recorder.clone())
             .register("count", move |_env| {
                 c.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(1));
             })
             .start();
-        let tickets: Vec<_> = (0..10)
+        let tickets: Vec<_> = (0..12)
             .map(|_| platform.invoke("count", Bytes::new()).unwrap())
             .collect();
         for t in tickets {
             t.wait();
         }
         platform.drain().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
-        assert_eq!(platform.stats().invocations.load(Ordering::Relaxed), 10);
+        // Second round to cover warm reuse transitions too.
+        platform.invoke("count", Bytes::new()).unwrap().wait();
+        platform.drain().unwrap();
+        drop(platform);
+
+        let trace = recorder.take_trace();
+        let mut auditor = AuditorSink::new();
+        for event in &trace {
+            auditor.record(event);
+        }
+        assert!(
+            auditor.finish().is_empty(),
+            "trace has violations: {:?}",
+            auditor.finish()
+        );
+        let mut reducer = RecordReducer::new();
+        for event in &trace {
+            reducer.on_event(event);
+        }
+        let reduced = reducer.finish();
+        assert_eq!(reduced.records.len(), 13, "record count");
+        for record in &reduced.records {
+            assert!(record.is_consistent(), "{record:?}");
+        }
     }
 
     #[test]
-    fn traced_run_is_auditor_clean_with_exact_attribution() {
-        for backend in [LiveBackend::Executor, LiveBackend::ThreadPerJob] {
-            let recorder = LiveTraceRecorder::new();
-            let counter = Arc::new(AtomicUsize::new(0));
-            let c = counter.clone();
-            let platform = PlatformBuilder::new()
-                .window(Duration::from_millis(10))
-                .cold_start_delay(Duration::from_millis(2))
-                .backend(backend)
-                .trace(recorder.clone())
-                .register("count", move |_env| {
-                    c.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(1));
-                })
-                .start();
-            let tickets: Vec<_> = (0..12)
-                .map(|_| platform.invoke("count", Bytes::new()).unwrap())
-                .collect();
-            for t in tickets {
-                t.wait();
-            }
-            platform.drain().unwrap();
-            // Second round to cover warm reuse transitions too.
-            platform.invoke("count", Bytes::new()).unwrap().wait();
-            platform.drain().unwrap();
-            drop(platform);
+    #[should_panic(expected = "window must be positive")]
+    fn zero_window_panics_at_start() {
+        let _ = PlatformBuilder::new().window(Duration::ZERO).start();
+    }
 
-            let trace = recorder.take_trace();
-            let mut auditor = AuditorSink::new();
-            for event in &trace {
-                auditor.record(event);
-            }
-            assert!(
-                auditor.finish().is_empty(),
-                "{backend:?} trace has violations: {:?}",
-                auditor.finish()
-            );
-            let mut reducer = RecordReducer::new();
-            for event in &trace {
-                reducer.on_event(event);
-            }
-            let reduced = reducer.finish();
-            assert_eq!(reduced.records.len(), 13, "{backend:?} record count");
-            for record in &reduced.records {
-                assert!(record.is_consistent(), "{backend:?}: {record:?}");
-            }
+    /// Groups started from several threads at once (the gateway's shard
+    /// threads) share one worker's pools and template cache safely: every
+    /// member runs, every group is one batch, and the merged stream audits
+    /// clean.
+    #[test]
+    fn worker_starts_groups_from_many_threads() {
+        let recorder = LiveTraceRecorder::new();
+        let worker = PlatformBuilder::new()
+            .cold_start_delay(Duration::from_millis(1))
+            .restore_delay(Duration::from_millis(1))
+            .snapshots(2)
+            .trace(recorder.clone())
+            .register("a", |_env| {})
+            .register("b", |_env| {})
+            .register("c", |_env| {})
+            .build();
+        let ids = PlatformIds::new();
+        let done = Arc::new(AtomicUsize::new(0));
+        let tickets: Vec<InvokeTicket> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|thread| {
+                    let (worker, ids, done, recorder) = (&worker, &ids, &done, &recorder);
+                    scope.spawn(move || {
+                        let mut tickets = Vec::new();
+                        for round in 0..5 {
+                            let function = (thread + round) % 3;
+                            let (members, mut mine): (Vec<_>, Vec<_>) = (0..3)
+                                .map(|_| {
+                                    let invocation = ids.next_invocation();
+                                    recorder.record(EventKind::Arrival {
+                                        invocation,
+                                        function: FunctionId::new(function as u32),
+                                    });
+                                    RemoteJob::new(invocation, Bytes::new())
+                                })
+                                .unzip();
+                            let done = Arc::clone(done);
+                            let on_done: GroupDone = Box::new(move |n| {
+                                done.fetch_add(n, Ordering::SeqCst);
+                            });
+                            worker
+                                .submit_group(function, members, Some(on_done))
+                                .unwrap();
+                            tickets.append(&mut mine);
+                        }
+                        tickets
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        worker.drain();
+        assert_eq!(tickets.len(), 60);
+        assert!(tickets.into_iter().all(|t| !t.wait().panicked));
+        assert_eq!(done.load(Ordering::SeqCst), 60);
+        let stats = worker.stats();
+        assert_eq!(stats.invocations.load(Ordering::Relaxed), 60);
+        assert_eq!(stats.batches.load(Ordering::Relaxed), 20);
+        assert_eq!(
+            worker.submit_group(3, Vec::new(), None),
+            Err(PlatformError::UnknownFunction("fn#3".into()))
+        );
+        let mut auditor = AuditorSink::new();
+        for event in recorder.take_trace() {
+            auditor.record(&event);
         }
+        assert!(auditor.finish().is_empty(), "{:?}", auditor.finish());
+    }
+
+    /// A drain waits for the groups started before it, not for groups
+    /// other threads keep starting meanwhile.
+    #[test]
+    fn drain_waits_only_for_groups_started_before_it() {
+        let pending = Arc::new(PendingGroups::default());
+        let earlier = pending.enter();
+        let upto = pending.next();
+        let later = pending.enter();
+        let (done, drained) = channel::bounded(1);
+        let waiter = {
+            let pending = Arc::clone(&pending);
+            std::thread::spawn(move || {
+                pending.wait_below(upto);
+                done.send(()).unwrap();
+            })
+        };
+        assert!(drained.recv_timeout(Duration::from_millis(50)).is_err());
+        pending.exit(earlier);
+        drained
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the drain returned while a later group still runs");
+        waiter.join().unwrap();
+        pending.exit(later);
     }
 
     #[test]
@@ -1630,6 +1557,40 @@ mod tests {
             )),
             "eviction must emit Idle → Terminated"
         );
+    }
+
+    /// A keep-alive timer still pending on the wheel must not keep its
+    /// worker alive: the worker holds the executor, whose wheel holds the
+    /// timer, and a strong reference there would leak all three.
+    #[test]
+    fn pending_keep_alive_timer_does_not_keep_the_worker_alive() {
+        let exec = Executor::new(ExecutorConfig {
+            workers: 2,
+            ..ExecutorConfig::default()
+        });
+        let worker = PlatformBuilder::new()
+            .cold_start_delay(Duration::from_millis(1))
+            .keep_alive(Duration::from_secs(3600))
+            .executor(Arc::clone(&exec))
+            .register("noop", |_env| {})
+            .build();
+        let (job, ticket) = RemoteJob::new(worker.ids.next_invocation(), Bytes::new());
+        worker.submit_group(0, vec![job], None).unwrap();
+        worker.drain();
+        ticket.wait();
+        let weak = Arc::downgrade(&worker);
+        drop(worker);
+        // The batch epilogue may still hold the worker for a moment.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while weak.strong_count() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(
+            weak.strong_count(),
+            0,
+            "the keep-alive timer leaked the worker"
+        );
+        exec.shutdown();
     }
 
     #[test]

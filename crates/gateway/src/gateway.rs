@@ -5,8 +5,8 @@ use bytes::Bytes;
 use crossbeam::channel;
 use faasbatch_container::ids::FunctionId;
 use faasbatch_core::platform::{
-    FaasBatchPlatform, GroupDone, Handler, InvocationEnv, InvokeTicket, PlatformBuilder,
-    PlatformIds, PlatformStats, RemoteJob,
+    GroupDone, Handler, InvocationEnv, InvokeTicket, PlatformBuilder, PlatformIds, PlatformStats,
+    PlatformWorker, RemoteJob,
 };
 use faasbatch_core::routing::{stable_hash, RouterCtx, RoutingKind, WorkerLoad};
 use faasbatch_core::telemetry::PlatformTelemetry;
@@ -23,11 +23,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Worker platforms never window (the gateway already did); their dispatch
-/// loop only ticks to serve flushes, so a short idle period keeps
-/// [`Gateway::drain`] responsive.
-const WORKER_WINDOW: Duration = Duration::from_millis(10);
 
 /// Gateway submission failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -324,17 +319,22 @@ impl GatewayBuilder {
         self
     }
 
-    /// Starts the worker platforms and shard dispatchers.
+    /// Builds the worker platforms and starts one dispatcher thread per
+    /// shard; the workers have no threads of their own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is zero.
     pub fn start(self) -> Gateway {
+        assert!(!self.window.is_zero(), "window must be positive");
         let ids = Arc::new(PlatformIds::new());
         let names: Vec<String> = self.functions.iter().map(|(n, _)| n.clone()).collect();
         // One telemetry handle shared by every worker platform: the fleet
         // aggregates into a single faasbatch_platform_* family set.
         let platform_telemetry = self.registry.as_ref().map(PlatformTelemetry::new);
-        let mut platforms = Vec::with_capacity(self.workers);
+        let mut workers = Vec::with_capacity(self.workers);
         for _ in 0..self.workers {
             let mut builder = PlatformBuilder::new()
-                .window(WORKER_WINDOW)
                 .multiplex(self.multiplex)
                 .cold_start_delay(self.cold_start_delay)
                 .store(self.store.clone())
@@ -355,9 +355,8 @@ impl GatewayBuilder {
                 let handler = Arc::clone(handler);
                 builder = builder.register(name, move |env| (*handler)(env));
             }
-            platforms.push(builder.start());
+            workers.push(builder.build());
         }
-        let platforms = Arc::new(platforms);
         let stats = Arc::new(GatewayStats::new(self.shards));
         let loads = Arc::new(Mutex::new(vec![WorkerLoad::default(); self.workers]));
         let origin = Instant::now();
@@ -376,7 +375,7 @@ impl GatewayBuilder {
                 window: self.window,
                 policy: self.policy,
                 assumed_work: SimDuration::from_micros(self.assumed_work.as_micros() as u64),
-                platforms: Arc::clone(&platforms),
+                workers: workers.clone(),
                 loads: Arc::clone(&loads),
                 stats: Arc::clone(&stats),
                 recorder: self.recorder.clone(),
@@ -392,7 +391,7 @@ impl GatewayBuilder {
         Gateway {
             queues,
             dispatchers,
-            platforms,
+            workers,
             names,
             ids,
             recorder: self.recorder,
@@ -466,14 +465,16 @@ fn register_gateway(
     )
 }
 
-/// Per-shard routing loop (one thread per shard).
+/// Per-shard routing loop (one thread per shard). It also starts each
+/// routed group on its worker, so the shard threads are the gateway's only
+/// threads.
 struct ShardDispatcher {
     shard: u64,
     queue: Arc<ShardQueue>,
     window: Duration,
     policy: RoutingKind,
     assumed_work: SimDuration,
-    platforms: Arc<Vec<FaasBatchPlatform>>,
+    workers: Vec<Arc<PlatformWorker>>,
     loads: Arc<Mutex<Vec<WorkerLoad>>>,
     stats: Arc<GatewayStats>,
     recorder: Option<LiveTraceRecorder>,
@@ -491,7 +492,7 @@ impl ShardDispatcher {
 
     fn run(self) {
         let mut policy = self.policy.build();
-        let alive = vec![true; self.platforms.len()];
+        let alive = vec![true; self.workers.len()];
         loop {
             let deadline = Instant::now() + self.window;
             let (msgs, closed) = self.queue.collect_window(deadline);
@@ -546,9 +547,9 @@ impl ShardDispatcher {
                 self.stats.routed(self.shard as usize);
                 let stats = Arc::clone(&self.stats);
                 let on_done: GroupDone = Box::new(move |n| stats.finish(n));
-                // Only fails while the platform tears down, which the
-                // gateway sequences after this thread exits.
-                let _ = self.platforms[worker].submit_group(function, members, Some(on_done));
+                self.workers[worker]
+                    .submit_group(function, members, Some(on_done))
+                    .expect("every worker registers every gateway function");
                 if let Some(hist) = &self.route_latency {
                     hist.record(route_started.elapsed().as_micros() as u64);
                 }
@@ -563,7 +564,7 @@ impl ShardDispatcher {
     }
 }
 
-/// A live sharded front door over N worker [`FaasBatchPlatform`]s.
+/// A live sharded front door over N [`PlatformWorker`]s.
 ///
 /// Ingress is sharded by function-id hash; each shard accumulates one
 /// dispatch window, groups requests per function, and routes each group
@@ -572,7 +573,7 @@ impl ShardDispatcher {
 pub struct Gateway {
     queues: Vec<Arc<ShardQueue>>,
     dispatchers: Vec<JoinHandle<()>>,
-    platforms: Arc<Vec<FaasBatchPlatform>>,
+    workers: Vec<Arc<PlatformWorker>>,
     names: Vec<String>,
     ids: Arc<PlatformIds>,
     recorder: Option<LiveTraceRecorder>,
@@ -583,7 +584,7 @@ impl fmt::Debug for Gateway {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Gateway")
             .field("shards", &self.queues.len())
-            .field("workers", &self.platforms.len())
+            .field("workers", &self.workers.len())
             .field("functions", &self.names.len())
             .finish()
     }
@@ -663,7 +664,7 @@ impl Gateway {
 
     /// Number of worker platforms.
     pub fn workers(&self) -> usize {
-        self.platforms.len()
+        self.workers.len()
     }
 
     /// Registered function names, in registration order.
@@ -697,10 +698,7 @@ impl Gateway {
 
     /// Aggregate counters of each worker platform, indexed by worker.
     pub fn worker_stats(&self) -> Vec<&PlatformStats> {
-        self.platforms
-            .iter()
-            .map(FaasBatchPlatform::stats)
-            .collect()
+        self.workers.iter().map(|w| w.stats()).collect()
     }
 
     /// The attached trace recorder, if any ([`GatewayBuilder::trace`]).
@@ -709,7 +707,8 @@ impl Gateway {
     }
 
     /// Blocks until every invocation admitted so far has completed: flushes
-    /// each shard (everything queued is routed), then drains each worker.
+    /// each shard (everything queued is routed and started), then waits for
+    /// each worker's groups.
     ///
     /// # Errors
     ///
@@ -724,8 +723,8 @@ impl Gateway {
         for done in acks {
             done.recv().map_err(|_| GatewayError::ShuttingDown)?;
         }
-        for platform in self.platforms.iter() {
-            platform.drain().map_err(|_| GatewayError::ShuttingDown)?;
+        for worker in &self.workers {
+            worker.drain();
         }
         Ok(())
     }
@@ -734,13 +733,16 @@ impl Gateway {
 impl Drop for Gateway {
     fn drop(&mut self) {
         // Shard dispatchers exit after a final drain-and-route pass, so
-        // everything admitted still reaches a worker; the platforms then
-        // drain their own outstanding work as they drop.
+        // everything admitted still reaches a worker; then every started
+        // group is waited for.
         for queue in &self.queues {
             queue.close();
         }
         for handle in self.dispatchers.drain(..) {
             let _ = handle.join();
+        }
+        for worker in &self.workers {
+            worker.drain();
         }
     }
 }
@@ -782,6 +784,12 @@ mod tests {
             let admitted: u64 = snap.shards.iter().map(|s| s.admitted).sum();
             assert_eq!(admitted, 16, "{kind:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn zero_window_panics_at_start() {
+        let _ = Gateway::builder().window(Duration::ZERO).start();
     }
 
     #[test]

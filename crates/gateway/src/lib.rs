@@ -1,8 +1,8 @@
 //! # faasbatch-gateway
 //!
 //! A live, sharded front door over a fleet of worker
-//! [`FaasBatchPlatform`](faasbatch_core::platform::FaasBatchPlatform)s —
-//! the "many dispatchers, many workers" deployment the paper's single
+//! [`PlatformWorker`](faasbatch_core::platform::PlatformWorker)s — the
+//! "many dispatchers, many workers" deployment the paper's single
 //! dispatcher scales out to.
 //!
 //! The pipeline, per invocation:
@@ -20,9 +20,12 @@
 //! 4. **Route** — each group is placed **as a unit** on one worker by a
 //!    pluggable [`RoutingKind`](faasbatch_core::routing::RoutingKind)
 //!    policy (round-robin, least-loaded, warm-affinity, or Hiku-style
-//!    pull-based) over shared router-side load estimates, then submitted
-//!    via `FaasBatchPlatform::submit_group` — workers never re-window, so
-//!    a group can never be split or merged downstream.
+//!    pull-based) over shared router-side load estimates, then started
+//!    on that worker by the shard thread itself
+//!    ([`PlatformWorker::submit_group`](faasbatch_core::platform::PlatformWorker::submit_group)).
+//!    Workers have no thread and no window of their own, so a group can
+//!    never be split or merged downstream, and a gateway with S shards
+//!    runs S threads of its own whatever its worker count.
 //!
 //! With a [`LiveTraceRecorder`](faasbatch_metrics::live::LiveTraceRecorder)
 //! attached, the gateway emits `GatewayEnqueue` / `GatewayAdmit` /

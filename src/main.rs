@@ -221,7 +221,6 @@ const COMMANDS: [Command; 11] = [
             value("--jobs", "N", "2000", "invocations to fire"),
             value("--workers", "N", "0", "executor workers (0 = executor default)"),
             value("--seed", "N", "2023", "executor seed"),
-            value("--backend", "BACKEND", "executor", "executor|thread-per-job"),
             value("--snapshots", "N", "0", "template snapshots per function"),
             value("--restore-ms", "N", "1", "snapshot restore delay in ms"),
         ]],
@@ -410,13 +409,27 @@ fn load_or_build(opts: &Options) -> Result<(String, Workload), String> {
     }
 }
 
-/// The simulators' `--window-ms`. A zero window is an input error here,
-/// before any scheduler could assert on it.
-fn sim_window(opts: &Options) -> Result<SimDuration, String> {
-    match opts.get("--window-ms")? {
-        0 => Err("--window-ms must be at least 1".to_owned()),
-        ms => Ok(SimDuration::from_millis(ms)),
+/// `key`'s value, which must be at least 1: a zero window or size is an
+/// input error here, before a library assert or clamp could see it.
+fn at_least_one<T: std::str::FromStr + From<u8> + PartialEq>(
+    opts: &Options,
+    key: &str,
+) -> Result<T, String> {
+    let value: T = opts.get(key)?;
+    if value == T::from(0) {
+        return Err(format!("{key} must be at least 1"));
     }
+    Ok(value)
+}
+
+/// The simulators' `--window-ms`.
+fn sim_window(opts: &Options) -> Result<SimDuration, String> {
+    at_least_one(opts, "--window-ms").map(SimDuration::from_millis)
+}
+
+/// The live platform's and gateway's `--window-ms`.
+fn live_window(opts: &Options) -> Result<std::time::Duration, String> {
+    at_least_one(opts, "--window-ms").map(std::time::Duration::from_millis)
 }
 
 /// The `--scheduler` of `trace`, `autoscale`, and `fleet`; an unknown name
@@ -589,7 +602,7 @@ fn cmd_fleet(opts: &Options) -> Result<(), String> {
         faults.extend(parse_faults(spec, FaultKind::Drain)?);
     }
     let cfg = FleetConfig {
-        workers: opts.get("--workers")?,
+        workers: at_least_one(opts, "--workers")?,
         window,
         scheduler: scheduler_kind(opts)?,
         faasbatch: FaasBatchConfig::with_window(window),
@@ -598,9 +611,6 @@ fn cmd_fleet(opts: &Options) -> Result<(), String> {
         redispatch_delay: SimDuration::from_millis(opts.get("--redispatch-ms")?),
         ..FleetConfig::default()
     };
-    if cfg.workers == 0 {
-        return Err("--workers must be at least 1".to_owned());
-    }
     if let Some(f) = cfg.faults.iter().find(|f| f.worker >= cfg.workers) {
         return Err(format!(
             "fault references worker {} but the fleet has {}",
@@ -1201,18 +1211,15 @@ fn audit_and_export(
 fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
     use faasbatch::gateway::{Gateway, GatewayError};
 
-    let jobs: usize = opts.get("--jobs")?;
-    let batch_size: usize = opts.get("--batch-size")?;
-    let workers: usize = opts.get("--workers")?;
-    let shards: usize = opts.get("--shards")?;
-    let shard_depth: usize = opts.get("--shard-depth")?;
-    let window = std::time::Duration::from_millis(opts.get("--window-ms")?);
+    let jobs: usize = at_least_one(opts, "--jobs")?;
+    let batch_size: usize = at_least_one(opts, "--batch-size")?;
+    let workers: usize = at_least_one(opts, "--workers")?;
+    let shards: usize = at_least_one(opts, "--shards")?;
+    let shard_depth: usize = at_least_one(opts, "--shard-depth")?;
+    let window = live_window(opts)?;
     let cold = std::time::Duration::from_millis(opts.get("--cold-ms")?);
     let work = std::time::Duration::from_micros(opts.get("--work-us")?);
     let policy = RoutingKind::parse(&opts.get::<String>("--policy")?).map_err(|e| e.to_string())?;
-    if jobs == 0 || batch_size == 0 {
-        return Err("--jobs and --batch-size must be at least 1".to_owned());
-    }
     let functions = jobs.div_ceil(batch_size);
     let telemetry = LiveTelemetry::from_opts(opts)?;
 
@@ -1278,31 +1285,18 @@ fn cmd_live_gateway(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_live(opts: &Options) -> Result<(), String> {
-    use faasbatch::container::live::LiveBackend;
     use faasbatch::core::platform::PlatformBuilder;
     use faasbatch::exec::{Executor, ExecutorConfig};
 
-    let jobs: usize = opts.get("--jobs")?;
-    let batch_size: usize = opts.get("--batch-size")?;
+    let jobs: usize = at_least_one(opts, "--jobs")?;
+    let batch_size: usize = at_least_one(opts, "--batch-size")?;
     let workers: usize = opts.get("--workers")?;
     let seed: u64 = opts.get("--seed")?;
-    let window = std::time::Duration::from_millis(opts.get("--window-ms")?);
+    let window = live_window(opts)?;
     let cold = std::time::Duration::from_millis(opts.get("--cold-ms")?);
     let work = std::time::Duration::from_micros(opts.get("--work-us")?);
     let snapshots: usize = opts.get("--snapshots")?;
     let restore = std::time::Duration::from_millis(opts.get("--restore-ms")?);
-    let backend = match opts.get::<String>("--backend")?.as_str() {
-        "executor" => LiveBackend::Executor,
-        "thread-per-job" => LiveBackend::ThreadPerJob,
-        other => {
-            return Err(format!(
-                "unknown backend: {other} (use executor|thread-per-job)"
-            ))
-        }
-    };
-    if jobs == 0 || batch_size == 0 {
-        return Err("--jobs and --batch-size must be at least 1".to_owned());
-    }
     let functions = jobs.div_ceil(batch_size);
     let telemetry = LiveTelemetry::from_opts(opts)?;
 
@@ -1319,7 +1313,6 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
         .cold_start_delay(cold)
         .snapshots(snapshots)
         .restore_delay(restore)
-        .backend(backend)
         .executor(std::sync::Arc::clone(&executor));
     if let Some(rec) = &telemetry.recorder {
         builder = builder.trace(rec.clone());
@@ -1339,7 +1332,7 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
 
     println!(
         "firing {jobs} invocations over {functions} function(s) (target batch \
-         {batch_size}) on the {backend:?} backend, {} worker(s)…",
+         {batch_size}) on the executor, {} worker(s)…",
         executor.workers()
     );
     let started = std::time::Instant::now();
@@ -1364,15 +1357,13 @@ fn cmd_live(opts: &Options) -> Result<(), String> {
     );
     print_latencies(&latencies);
     let metrics = executor.metrics();
-    if backend == LiveBackend::Executor {
-        println!(
-            "executor: {} worker(s) | peak in-flight {} | spawned {} | steals {}",
-            metrics.workers,
-            metrics.peak_in_flight,
-            metrics.spawned_total,
-            metrics.total_steals(),
-        );
-    }
+    println!(
+        "executor: {} worker(s) | peak in-flight {} | spawned {} | steals {}",
+        metrics.workers,
+        metrics.peak_in_flight,
+        metrics.spawned_total,
+        metrics.total_steals(),
+    );
 
     drop(platform);
     telemetry.finish(opts)
@@ -1491,15 +1482,31 @@ mod tests {
                 "{err}"
             );
         }
-        // A flag of one `live` mode is unknown to the other.
-        assert!(parse("live --gateway", &["--gateway", "--backend", "executor"]).is_err());
+        // A flag of one `live` mode is unknown to the other; `--backend` is
+        // unknown to both.
+        assert!(parse("live --gateway", &["--gateway", "--seed", "7"]).is_err());
         assert!(parse("live", &["--shards", "2"]).is_err());
+        assert!(parse("live", &["--backend", "executor"]).is_err());
         // A zero dispatch window is an input error on every simulation command.
         for name in ["compare", "trace", "autoscale", "fleet"] {
             let err = sim_window(&parse(name, &["--window-ms", "0"]).unwrap()).unwrap_err();
             assert!(err.contains("--window-ms"), "{name}: {err}");
             let o = parse(name, &["--window-ms", "1"]).unwrap();
             assert_eq!(sim_window(&o), Ok(SimDuration::from_millis(1)));
+        }
+        // On the live commands a zero window or gateway size is an error
+        // naming the flag, returned before anything starts.
+        for (name, args) in [
+            ("live", &["--window-ms", "0"]),
+            ("live --gateway", &["--window-ms", "0"]),
+            ("live --gateway", &["--workers", "0"]),
+            ("live --gateway", &["--shards", "0"]),
+            ("live --gateway", &["--shard-depth", "0"]),
+            ("fleet", &["--workers", "0"]),
+        ] {
+            let command = COMMANDS.iter().find(|c| c.name == name).unwrap();
+            let err = (command.run)(&parse(name, args).unwrap()).unwrap_err();
+            assert_eq!(err, format!("{} must be at least 1", args[0]), "{name}");
         }
     }
 
@@ -1520,7 +1527,7 @@ mod tests {
         ("autoscale", &[("--scheduler", "faasbatch"), ("--keepalive-s", "2"),
             ("--prewarm-cap", "4"), ("--keepalive-floor-s", "2"), ("--keepalive-ceiling-s", "60")]),
         ("live", &[("--jobs", "2000"), ("--workers", "0"), ("--seed", "2023"),
-            ("--backend", "executor"), ("--snapshots", "0"), ("--restore-ms", "1")]),
+            ("--snapshots", "0"), ("--restore-ms", "1")]),
         ("live --gateway", &[("--jobs", "20000"), ("--workers", "8"), ("--shards", "4"),
             ("--shard-depth", "65536"), ("--policy", "least-loaded")]),
         ("top", &[("--addr", "127.0.0.1:9100")]),

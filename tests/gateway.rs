@@ -2,15 +2,17 @@
 //! across workers (live and simulated, all four routing policies), the
 //! emitted event stream passes the invariant auditor and attributes every
 //! completion's latency exactly — gateway-queue phase included — and
-//! admission control rejects saturated shards with a typed error. Shard
+//! admission control rejects saturated shards with a typed error. After a
+//! drain, job and group counts are conserved from shard to worker. Shard
 //! selection is property-tested to be a pure, deterministic function of
 //! the function registry.
 
 use bytes::Bytes;
+use faasbatch::core::platform::{InvokeTicket, PlatformStats};
 use faasbatch::core::routing::{stable_hash, RoutingKind};
 use faasbatch::fleet::config::FleetConfig;
 use faasbatch::fleet::sim::run_fleet;
-use faasbatch::gateway::{Gateway, GatewayError};
+use faasbatch::gateway::{Gateway, GatewayError, ShardSnapshot};
 use faasbatch::metrics::analysis::AttributionEngine;
 use faasbatch::metrics::events::{AuditorSink, EventKind, SimEvent, TraceSink};
 use faasbatch::metrics::live::LiveTraceRecorder;
@@ -19,6 +21,7 @@ use faasbatch::simcore::time::SimDuration;
 use faasbatch::trace::workload::{cpu_workload, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const FUNCTIONS: usize = 6;
@@ -42,9 +45,9 @@ fn gateway_with(
     builder.start()
 }
 
-/// Runs `jobs` invocations round-robin over the registry and returns the
-/// recorded event stream.
-fn run_burst(gateway: Gateway, recorder: &LiveTraceRecorder, jobs: usize) -> Vec<SimEvent> {
+/// Fires `jobs` invocations round-robin over the registry, drains, and
+/// returns how many tickets resolved.
+fn fire(gateway: &Gateway, jobs: usize) -> usize {
     let tickets: Vec<_> = (0..jobs)
         .map(|i| {
             gateway
@@ -53,9 +56,12 @@ fn run_burst(gateway: Gateway, recorder: &LiveTraceRecorder, jobs: usize) -> Vec
         })
         .collect();
     gateway.drain().expect("drain");
-    for ticket in tickets {
-        ticket.wait();
-    }
+    tickets.into_iter().map(InvokeTicket::wait).count()
+}
+
+/// [`fire`]s `jobs` invocations and returns the recorded event stream.
+fn run_burst(gateway: Gateway, recorder: &LiveTraceRecorder, jobs: usize) -> Vec<SimEvent> {
+    fire(&gateway, jobs);
     drop(gateway);
     recorder.take_trace()
 }
@@ -82,13 +88,45 @@ fn route_and_batch_sets(events: &[SimEvent]) -> (Vec<BTreeSet<u64>>, Vec<BTreeSe
 }
 
 /// Every routed window group lands on a worker as exactly one batch: the
-/// platform neither splits nor merges what the gateway grouped.
+/// platform neither splits nor merges what the gateway grouped. After a
+/// drain the counts are conserved across layers: nothing is in flight,
+/// every admitted job ran and resolved its ticket, and every routed group
+/// is one worker batch.
 #[test]
 fn live_window_groups_are_never_split_under_any_policy() {
     for kind in RoutingKind::ALL {
         let recorder = LiveTraceRecorder::new();
         let gateway = gateway_with(kind, 4, 3, &recorder);
-        let events = run_burst(gateway, &recorder, 60);
+        let resolved = fire(&gateway, 60) as u64;
+        assert_eq!(gateway.in_flight(), 0, "{}", kind.name());
+        let shards = gateway.stats().shards;
+        let shard_sum = |f: fn(&ShardSnapshot) -> u64| shards.iter().map(f).sum::<u64>();
+        let workers = gateway.worker_stats();
+        let worker_sum = |f: fn(&PlatformStats) -> &AtomicU64| {
+            workers
+                .iter()
+                .map(|w| f(w).load(Ordering::Relaxed))
+                .sum::<u64>()
+        };
+        assert_eq!(
+            [
+                shard_sum(|s| s.enqueued),
+                shard_sum(|s| s.admitted),
+                worker_sum(|w| &w.invocations),
+                resolved,
+            ],
+            [60; 4],
+            "{}: enqueued, admitted, invocations, resolved tickets",
+            kind.name()
+        );
+        assert_eq!(
+            shard_sum(|s| s.routed_groups),
+            worker_sum(|w| &w.batches),
+            "{}: routed groups vs worker batches",
+            kind.name()
+        );
+        drop(gateway);
+        let events = recorder.take_trace();
         let (routed, batches) = route_and_batch_sets(&events);
         assert!(!routed.is_empty(), "{}: nothing was routed", kind.name());
         assert_eq!(
